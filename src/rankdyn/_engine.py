@@ -38,9 +38,7 @@ class FlatData:
     n: int            # number of subjects
 
 
-def flatten(times, values, n=None) -> FlatData:
-    if n is None:
-        n = len(times)
+def flatten(times, values, n: int) -> FlatData:
     t = np.concatenate(times)
     y = np.concatenate(values)
     subj = np.concatenate([np.full(ti.size, i) for i, ti in enumerate(times)])
@@ -85,41 +83,14 @@ def qbar_cdf(flat: FlatData, kern: Kernel, h_y: float, h_t: float, t: float, yq)
     return s1 / norm, s2 / norm
 
 
-def qbar_all(flat: FlatData, kern: Kernel, h_y: float, h_t: float, t: float, yq):
-    """All five averages at one time point; Q1, Q3, Q5 per query."""
-    yq = np.atleast_1d(np.asarray(yq, dtype=float))
-    win = time_window(flat, t, h_t)
-    tw, yw, ww = flat.t[win], flat.y[win], flat.w[win]
-    arg = (t - tw) / h_t
-    a = kern.density(arg) * ww
-    ap = kern.density_deriv(arg) * ww
-    s2 = float(a.sum())
-    s4 = float(ap.sum())
-    s1 = np.empty(yq.size)
-    s3 = np.empty(yq.size)
-    s5 = np.empty(yq.size)
-    for ch in _chunks(yq.size, tw.size):
-        u = (yq[ch, None] - yw[None, :]) / h_y
-        hu = kern.cdf(u)
-        s1[ch] = hu @ a
-        s3[ch] = hu @ ap
-        s5[ch] = kern.density(u) @ a
-    n = flat.n
-    q1 = s1 / (n * h_t)
-    q2 = s2 / (n * h_t)
-    q3 = s3 / (n * h_t * h_t)
-    q4 = s4 / (n * h_t * h_t)
-    q5 = s5 / (n * h_y * h_t)
-    return q1, q2, q3, q4, q5
-
-
 def qbar_all_pairs(flat: FlatData, kern: Kernel, pairs, t: float, yq):
-    """qbar_all for many (h_y, h_t) pairs at once, sharing kernel tensors.
+    """All five averages at one time point for each (h_y, h_t) pair.
 
-    ``pairs`` is a sequence of (h_y, h_t) tuples.  Pairs with equal h_y
-    share one evaluation of H and K on the widest time window; the per-pair
-    time weights are zero outside each pair's own window, so the results
-    are identical to qbar_all pair by pair (up to summation order).
+    ``pairs`` is a sequence of (h_y, h_t) tuples; Q1, Q3 and Q5 come per
+    query.  Pairs with equal h_y share one evaluation of H and K on the
+    widest time window; the per-pair time weights are zero outside each
+    pair's own window, so the results equal one-pair calls (up to
+    summation order).
 
     Returns a list of (q1, q2, q3, q4, q5) tuples aligned with ``pairs``.
     """

@@ -2,13 +2,20 @@
 
 The objective compares, for every observation at an interior time, the
 indicator 1{Y_ij <= y} with the smoothed cross-sectional cdf recomputed
-without subject i, squared and integrated over y.  The y-integral runs on
-a 201-point grid over [min Y - h_y, max Y + h_y] (trapezoid, split at the
-indicator's jump so both pieces stay smooth); with compact-support kernels
-the integrand vanishes identically outside that window, so the truncation
-is exact.  Leaving out always removes the whole subject: the
-within-subject observations are maximally dependent, so removing a single
-point would barely change the estimator and defeat the validation.
+without subject i, squared and integrated over y: the CRPS of the
+leave-out predictive cdf.  The y-integral runs on a 201-point grid over
+[min Y - h_y, max Y + h_y] (trapezoid, split at the indicator's jump so
+both pieces stay smooth); with compact-support kernels the integrand
+vanishes identically outside that window, so the truncation is exact.
+
+Leaving out always removes the whole subject: the within-subject
+observations are maximally dependent, so removing a single point would
+barely change the estimator and defeat the validation.  One code path
+serves shared and ragged grids alike.  Subjects are held as padded rows,
+and at each distinct interior observation time every subject's kernel
+sums come from one batched product over its own time window; the
+leave-out cdf is then (all-subject sums - own sums) / (all mass - own
+mass).  Pairs with equal h_y share the kernel tensor of the widest h_t.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _engine
 from .errors import DataError, DomainError, InsufficientDataError
 from .kernels import EPANECHNIKOV, Kernel
 from .ranks import Bandwidths
@@ -99,15 +105,6 @@ class CvReport:
     chosen: Bandwidths
 
 
-def _interior_mask(t: np.ndarray, h_max: float) -> np.ndarray:
-    return (t > h_max) & (t < 1.0 - h_max)
-
-
-def _y_grid(sample: FunctionalSample, h_y: float) -> np.ndarray:
-    allv = np.concatenate(sample.values)
-    return np.linspace(allv.min() - h_y, allv.max() + h_y, _Y_GRID_SIZE)
-
-
 def _sq_error_integrals(ygrid: np.ndarray, f: np.ndarray, jumps: np.ndarray) -> np.ndarray:
     """integral of (1{jump <= y} - F(y))^2 dy, one value per column of F.
 
@@ -146,13 +143,18 @@ def _cv_values(
         )
     if not 0 < h_max < 0.5:
         raise DomainError(f"h_max must lie in (0, 0.5), got {h_max!r}")
-    if sample.shared_grid is None:
-        return [_cv_value_ragged(sample, bw, h_max, kernel) for bw in pairs]
-
-    grid = sample.shared_grid
-    vals = sample.value_matrix()
-    n, m = vals.shape
-    interior = np.nonzero(_interior_mask(grid, h_max))[0]
+    # Padded rows of time, value and weight 1/m_i.  Padding sits at t = 2,
+    # outside every kernel window (h_t < 0.5), with weight 0; the extra
+    # all-padding column lets every row give a slice as wide as the widest.
+    width = max(t.size for t in sample.times) + 1
+    times = np.full((sample.n, width), 2.0)
+    vals = np.zeros((sample.n, width))
+    wts = np.zeros((sample.n, width))
+    for i, (t, v) in enumerate(zip(sample.times, sample.values)):
+        times[i, : t.size] = t
+        vals[i, : t.size] = v
+        wts[i, : t.size] = 1.0 / t.size
+    interior = np.unique(times[(times > h_max) & (times < 1.0 - h_max)])
     if interior.size == 0:
         raise DomainError(f"no observation times inside ({h_max}, {1 - h_max})")
 
@@ -160,51 +162,37 @@ def _cv_values(
     for idx, bw in enumerate(pairs):
         groups.setdefault(bw.h_y, []).append(idx)
 
+    allv = np.concatenate(sample.values)
     totals = [0.0] * len(pairs)
     for h_y, idxs in groups.items():
-        ygrid = _y_grid(sample, h_y)
+        ygrid = np.linspace(allv.min() - h_y, allv.max() + h_y, _Y_GRID_SIZE)
         ht_max = max(pairs[i].h_t for i in idxs)
-        for j in interior:
-            t = grid[j]
-            jlo = int(np.searchsorted(grid, t - ht_max, side="left"))
-            jhi = int(np.searchsorted(grid, t + ht_max, side="right"))
-            vwin = vals[:, jlo:jhi]
-            hu = kernel.cdf((ygrid[:, None, None] - vwin[None, :, :]) / h_y)
+        for t in interior:
+            # each row's widest-h_t window is the slice [lo, hi) of its times
+            lo = np.count_nonzero(times < t - ht_max, axis=1)
+            hi = np.count_nonzero(times <= t + ht_max, axis=1)
+            cols = np.minimum(lo[:, None] + np.arange((hi - lo).max()), width - 1)
+            twin = np.take_along_axis(times, cols, axis=1)
+            wwin = np.take_along_axis(wts, cols, axis=1)
+            vwin = np.take_along_axis(vals, cols, axis=1)
+            hu = kernel.cdf((ygrid - vwin[:, :, None]) / h_y)  # (n, w, Gy)
+            obs_i, obs_j = np.nonzero(times == t)
             for idx in idxs:
                 h_t = pairs[idx].h_t
-                a = kernel.density((t - grid[jlo:jhi]) / h_t) / m
-                q1_i = hu @ a                    # (Gy, n), per-subject numerator sums
-                q2_i = float(a.sum())            # identical across subjects
-                denom = (n - 1) * q2_i
-                if denom <= 0.0:
+                a = kernel.density((t - twin) / h_t) * wwin
+                own = (a[:, None, :] @ hu)[:, 0, :]  # (n, Gy), per-subject numerator sums
+                mass = a.sum(axis=1)
+                denom = mass.sum() - mass[obs_i]
+                if np.any(denom <= 0.0):
                     raise InsufficientDataError(
-                        f"no observations within h_t={h_t!r} of t={t!r} after leave-out"
+                        f"no observations within h_t={h_t!r} of t={float(t)!r} after leaving "
+                        f"out subject {sample.ids[obs_i[np.argmin(denom)]]!r}"
                     )
-                f_loo = (q1_i.sum(axis=1, keepdims=True) - q1_i) / denom
-                totals[idx] += float(_sq_error_integrals(ygrid, f_loo, vals[:, j]).sum())
-    return totals
-
-
-def _cv_value_ragged(
-    sample: FunctionalSample, bw: Bandwidths, h_max: float, kernel: Kernel
-) -> float:
-    total = 0.0
-    ygrid = _y_grid(sample, bw.h_y)
-    for i in range(sample.n):
-        rest_t = [t for l, t in enumerate(sample.times) if l != i]
-        rest_v = [v for l, v in enumerate(sample.values) if l != i]
-        flat = _engine.flatten(rest_t, rest_v)
-        keep = _interior_mask(sample.times[i], h_max)
-        for t_ij, y_ij in zip(sample.times[i][keep], sample.values[i][keep]):
-            q1, q2 = _engine.qbar_cdf(flat, kernel, bw.h_y, bw.h_t, float(t_ij), ygrid)
-            if q2 <= 0.0:
-                raise InsufficientDataError(
-                    f"no observations within h_t={bw.h_t!r} of t={t_ij!r} after "
-                    f"leaving out subject {sample.ids[i]!r}"
+                f_loo = (own.sum(axis=0) - own[obs_i]) / denom[:, None]
+                totals[idx] += float(
+                    _sq_error_integrals(ygrid, f_loo.T, vals[obs_i, obs_j]).sum()
                 )
-            f = (q1 / q2)[:, None]
-            total += float(_sq_error_integrals(ygrid, f, np.array([y_ij]))[0])
-    return total
+    return totals
 
 
 def cv_objective(

@@ -18,6 +18,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -51,6 +52,13 @@ def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
+
+
+def _csv_field(text: str) -> str:
+    """Quote a subject id by CSV rules when it needs it; numeric fields never do."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -89,15 +97,35 @@ class RunConfig:
 
 
 _DEFAULTS = RunConfig(command="")
+_FIELD_TYPES = get_type_hints(RunConfig)
+
+
+def _check_config(path: str, values) -> None:
+    """Reject a non-object, a key RunConfig lacks or a mistyped value (null means unset)."""
+    if not isinstance(values, dict):
+        raise UsageError(f"config file {path!r} must hold a JSON object")
+    for name, value in values.items():
+        kind = _FIELD_TYPES.get(name)
+        if kind is None:
+            raise UsageError(f"config file {path!r}: unknown key {name!r}")
+        if value is None:
+            continue
+        if type(value) is int and isinstance(0.0, kind):
+            continue  # JSON may write a whole float as an int
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+            expected = getattr(kind, "__name__", str(kind))
+            raise UsageError(f"config file {path!r}: {name!r} must be {expected}, got {value!r}")
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     config_values = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            config_values = json.load(fh)
-        if not isinstance(config_values, dict):
-            raise DataError(f"config file {args.config!r} must hold a JSON object")
+            try:
+                config_values = json.load(fh)
+            except ValueError as exc:
+                raise UsageError(f"config file {args.config!r} is not valid JSON: {exc}")
+        _check_config(args.config, config_values)
     cfg = RunConfig(command=args.command)
     for name in vars(cfg):
         if name == "command":
@@ -122,14 +150,16 @@ def _load_sample(cfg: RunConfig):
 
 
 def _parse_grid(spec: str, sample) -> BandwidthGrid:
+    """Parse --cv-grid; 'default' and 'KxK' scale h_y to ``sample`` (None: model scale)."""
     spec = spec.strip()
-    if spec == "default":
-        return BandwidthGrid.scaled_default(sample)
-    if "x" in spec and ":" not in spec:
+    if spec == "default" or ("x" in spec and ":" not in spec):
         a, _, b = spec.partition("x")
-        if a == b and a.isdigit():
-            return BandwidthGrid.scaled_default(sample, steps=int(a))
-        raise UsageError(f"--cv-grid {spec!r}: only square grids 'KxK' are supported")
+        if spec != "default" and (a != b or not a.isdigit()):
+            raise UsageError(f"--cv-grid {spec!r}: only square grids 'KxK' are supported")
+        steps = 4 if spec == "default" else int(a)
+        if sample is None:
+            return BandwidthGrid.geometric(steps=steps)
+        return BandwidthGrid.scaled_default(sample, steps=steps)
     pairs = []
     for item in spec.split(","):
         hy, sep, ht = item.partition(":")
@@ -190,6 +220,7 @@ def _outdir(cfg: RunConfig) -> Path:
 
 def _rank_rows(rk):
     for i, sid in enumerate(rk.ids):
+        sid = _csv_field(sid)
         for g, t in enumerate(rk.eval_grid):
             yield [sid, _fmt(t), _fmt(min(1.0, max(0.0, rk.ranks[i, g]))), rk.method]
 
@@ -227,6 +258,7 @@ def _cmd_decompose(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     rows = []
     for i, sid in enumerate(dec.ids):
+        sid = _csv_field(sid)
         for g, t in enumerate(dec.trimmed_grid):
             rows.append(
                 [sid, _fmt(t), _fmt(dec.c1[i, g]), _fmt(dec.c2[i, g]), _fmt(dec.rprime[i, g])]
@@ -255,7 +287,7 @@ def _cmd_summaries(cfg: RunConfig) -> int:
     subs = subject_summaries(rks, dec)
     pop = population_summaries(dec)
     out = _outdir(cfg)
-    rows = [[s.id, _fmt(s.rho), _fmt(s.nu), _fmt(s.zeta), _fmt(s.eta)] for s in subs]
+    rows = [[_csv_field(s.id), _fmt(s.rho), _fmt(s.nu), _fmt(s.zeta), _fmt(s.eta)] for s in subs]
     _write_csv(out / "subject_summaries.csv", ["id", "rho", "nu", "zeta", "eta"], rows)
     _write_json(out / "population.json", pop.to_json_dict())
     if cfg.svg:
@@ -293,21 +325,11 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     if not n_list:
         raise UsageError("--n must name at least one sample size")
     model = SimModel(m=int(cfg.m))
-    spec = (cfg.cv_grid or "default").strip()
-    if spec == "default":
-        grid = BandwidthGrid.geometric()
-    elif "x" in spec and ":" not in spec:
-        a, _, b = spec.partition("x")
-        if a != b or not a.isdigit():
-            raise UsageError(f"--cv-grid {spec!r}: only square grids 'KxK' are supported")
-        grid = BandwidthGrid.geometric(steps=int(a))  # literal, model-scale values
-    else:
-        grid = _parse_grid(spec, None)  # explicit pairs need no sample scale
     report = run_monte_carlo(
         model,
         n_list,
         runs=int(cfg.runs),
-        grid=grid,
+        grid=_parse_grid(cfg.cv_grid or "default", None),
         base_seed=int(cfg.seed),
         kernel=get_kernel(cfg.kernel),
         eval_points=int(cfg.eval_points),

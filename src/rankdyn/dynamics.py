@@ -80,7 +80,9 @@ def estimate_partials(
     """
     _check_interior(t, bw.h_t, allow_boundary)
     flat = _engine.flatten_sample(sample)
-    q1, q2, q3, q4, q5 = _engine.qbar_all(flat, kernel, bw.h_y, bw.h_t, t, [float(y)])
+    [(q1, q2, q3, q4, q5)] = _engine.qbar_all_pairs(
+        flat, kernel, [(bw.h_y, bw.h_t)], t, [float(y)]
+    )
     if q2 <= 0.0:
         raise InsufficientDataError(f"no observations within h_t={bw.h_t!r} of t={t!r}")
     d1 = q3[0] / q2 - q1[0] * q4 / (q2 * q2)

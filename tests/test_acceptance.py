@@ -231,7 +231,7 @@ def test_criterion_9_algebraic_invariants(sim200_fixed, cv200):
     d2_min = np.inf
     for t in rng.uniform(0.25, 0.75, 100):
         yq = rng.uniform(-6.0, 12.0, 100)
-        _, q2, _, _, q5 = _engine.qbar_all(flat, EPANECHNIKOV, 0.7, 0.2, float(t), yq)
+        [(_, q2, _, _, q5)] = _engine.qbar_all_pairs(flat, EPANECHNIKOV, [(0.7, 0.2)], float(t), yq)
         d2_min = min(d2_min, float((q5 / q2).min()))
 
     ranks = smooth_ranks(sim200_fixed.sample, cv200)

@@ -104,6 +104,32 @@ class TestCvObjective:
         )
         assert ours == pytest.approx(ref, rel=1e-3)
 
+    def test_mixed_grids_match_bruteforce(self):
+        # a and b share a grid (scored together at 0.4 and 0.55), c does not
+        shared = np.array([0.1, 0.25, 0.4, 0.55, 0.7, 0.9])
+        times = [shared, shared.copy(), np.array([0.05, 0.3, 0.45, 0.6, 0.75, 0.95])]
+        values = [
+            np.array([0.0, 0.4, 0.9, 1.3, 1.6, 2.0]),
+            np.array([2.2, 1.8, 1.1, 0.7, 0.6, 0.1]),
+            np.array([1.0, 1.2, 0.8, 1.1, 0.9, 1.0]),
+        ]
+        s = FunctionalSample(["a", "b", "c"], times, values)
+        assert s.shared_grid is None
+        ours = cv_objective(s, Bandwidths(0.9, 0.3), h_max=0.3)
+        ref = naive_cv_objective(
+            [list(t) for t in times], [list(v) for v in values], 0.9, 0.3, 0.3
+        )
+        assert ours == pytest.approx(ref, rel=1e-3)
+
+    def test_ragged_without_interior_observation_rejected(self):
+        s = FunctionalSample(
+            ["a", "b"],
+            [np.array([0.1, 0.9]), np.array([0.2, 0.8])],
+            [np.array([0.0, 1.0]), np.array([1.0, 0.0])],
+        )
+        with pytest.raises(DomainError):
+            cv_objective(s, Bandwidths(0.5, 0.2), h_max=0.25)
+
     def test_two_subjects_allowed_one_rejected(self):
         grid = np.linspace(0, 1, 11)
         pair = FunctionalSample.from_matrix(grid, np.vstack([np.zeros(11), np.ones(11)]))

@@ -1,3 +1,4 @@
+import csv
 import json
 import xml.etree.ElementTree as ET
 
@@ -177,6 +178,44 @@ class TestSimulateCommand:
         assert len(rows) == 1
 
 
+def test_ids_with_comma_and_quote_round_trip(tmp_path):
+    rng = np.random.default_rng(8)
+    ids = ["a,b", 'q"x', "plain", "p2", "p3", "p4"]
+    path = tmp_path / "odd_ids.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "time", "value"])
+        for sid in ids:
+            c = rng.normal()
+            for t in np.linspace(0, 1, 41):
+                writer.writerow([sid, repr(float(t)), repr(float(c + np.sin(2 * np.pi * t)))])
+    bw = ["--h-y", "0.8", "--h-t", "0.2"]
+    for command, name in [("ranks", "ranks.csv"), ("decompose", "decomposition.csv"),
+                          ("summaries", "subject_summaries.csv")]:
+        out = tmp_path / command
+        assert main([command, "--input", str(path), "--out", str(out)] + bw) == 0
+        with open(out / name, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert all(len(r) == len(header) for r in rows)
+        assert {r[0] for r in rows} == set(ids)
+
+
+@pytest.mark.parametrize("command", ["ranks", "summaries", "cv", "simulate"])
+def test_every_manifest_replays(command, data_csv, tmp_path):
+    if command == "simulate":
+        args = ["simulate", "--n", "8", "--runs", "1", "--cv-grid", "1.2:0.25"]
+    elif command == "cv":
+        args = ["cv", "--input", str(data_csv), "--cv-grid", "0.9:0.2,0.5:0.15"]
+    else:
+        args = [command, "--input", str(data_csv), "--h-y", "0.8", "--h-t", "0.2"]
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    rc = main([command, "--config", str(tmp_path / "a" / "run_manifest.json"),
+               "--out", str(tmp_path / "b")])
+    assert rc == 0
+    for f in (tmp_path / "a").glob("*.csv"):
+        assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+
+
 class TestExitCodes:
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["ranks", "--input", str(tmp_path / "nope.csv"),
@@ -201,3 +240,15 @@ class TestExitCodes:
     def test_half_pair_is_usage_error(self, data_csv, tmp_path):
         assert main(["decompose", "--input", str(data_csv), "--h-y", "1.0",
                      "--out", str(tmp_path)]) == 2
+
+    def test_config_with_mistyped_value_is_usage_error(self, data_csv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"h_y": "abc", "h_t": 0.2}))
+        assert main(["decompose", "--input", str(data_csv), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+
+    def test_config_with_unknown_key_is_usage_error(self, data_csv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"h_yy": 0.8}))
+        assert main(["decompose", "--input", str(data_csv), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2

@@ -78,7 +78,7 @@ class TestEstimatePartials:
 
     def test_q4_antisymmetry_at_center(self, sim50):
         flat = _engine.flatten_sample(sim50.sample)
-        _, _, _, q4, _ = _engine.qbar_all(flat, EPANECHNIKOV, 0.8, 0.25, 0.5, [0.0])
+        [(_, _, _, q4, _)] = _engine.qbar_all_pairs(flat, EPANECHNIKOV, [(0.8, 0.25)], 0.5, [0.0])
         assert abs(q4) < 1e-12
 
 

@@ -16,7 +16,7 @@ def test_flatten_orders_by_time(tiny_sample):
 
 def test_qbar_all_matches_naive(tiny_sample):
     flat = _engine.flatten_sample(tiny_sample)
-    got = _engine.qbar_all(flat, EPANECHNIKOV, 0.8, 0.3, 0.45, [0.6, 1.2])
+    [got] = _engine.qbar_all_pairs(flat, EPANECHNIKOV, [(0.8, 0.3)], 0.45, [0.6, 1.2])
     for qi, (y, _) in zip(range(2), [(0.6, None), (1.2, None)]):
         ref = naive_qbars(tiny_sample.times, tiny_sample.values, 0.8, 0.3, [0.6, 1.2][qi], 0.45)
         assert got[0][qi] == pytest.approx(ref[0], abs=1e-13)
@@ -32,7 +32,7 @@ def test_qbar_all_pairs_matches_singles(tiny_sample):
     yq = np.array([0.1, 0.7, 1.5])
     batched = _engine.qbar_all_pairs(flat, EPANECHNIKOV, pairs, 0.5, yq)
     for (hy, ht), got in zip(pairs, batched):
-        solo = _engine.qbar_all(flat, EPANECHNIKOV, hy, ht, 0.5, yq)
+        [solo] = _engine.qbar_all_pairs(flat, EPANECHNIKOV, [(hy, ht)], 0.5, yq)
         for a, b in zip(got, solo):
             assert np.allclose(a, b, atol=1e-13)
 
@@ -40,9 +40,9 @@ def test_qbar_all_pairs_matches_singles(tiny_sample):
 def test_chunked_queries_match_unchunked(tiny_sample, monkeypatch):
     flat = _engine.flatten_sample(tiny_sample)
     yq = np.linspace(-1.0, 2.5, 57)
-    full = _engine.qbar_all(flat, BIWEIGHT, 0.7, 0.25, 0.5, yq)
+    [full] = _engine.qbar_all_pairs(flat, BIWEIGHT, [(0.7, 0.25)], 0.5, yq)
     monkeypatch.setattr(_engine, "_CHUNK_ELEMS", 64)  # force many tiny chunks
-    chunked = _engine.qbar_all(flat, BIWEIGHT, 0.7, 0.25, 0.5, yq)
+    [chunked] = _engine.qbar_all_pairs(flat, BIWEIGHT, [(0.7, 0.25)], 0.5, yq)
     for a, b in zip(full, chunked):
         # chunking changes the BLAS call shapes, so only near-machine equality
         assert np.allclose(np.asarray(a), np.asarray(b), rtol=1e-13, atol=1e-15)
