@@ -12,19 +12,58 @@ All estimators reduce to five weighted sums over the pooled observations
 and the population averages are Q1 = S1/(n h_T), Q2 = S2/(n h_T),
 Q3 = S3/(n h_T^2), Q4 = S4/(n h_T^2), Q5 = S5/(n h_Y h_T).  Only
 observations with |t - t_k| <= h_T contribute (compact support), so sums
-run over a window of the time-sorted pooled data.  Queries are chunked to
-bound the (Q x window) temporaries.
+run over a window of the time-sorted pooled data.
+
+The sums are updated, not evaluated term by term.  Write a_k for a time
+weight (w_k K or w_k K') and u_k = (y_q - y_k)/h_Y.  H is 1 for u >= 1 and
+0 for u <= -1, and on [-1, 1] both H and K are polynomials (their
+coefficients live on ``Kernel``).  With the window sorted by y,
+
+    sum_k a_k H(u_k) = sum_{y_k < y_q - h_Y} a_k
+                       + sum_{|y_k - y_q| <= h_Y} a_k P_H(u_k),
+
+where the first term is a prefix sum.  For the second, the y axis is cut
+into cells of width h_Y and each y_k is written as c + h_Y v_k, with c the
+centre of its own cell, so v_k lies in [-1/2, 1/2).  With z = (y_q - c)/h_Y
+we get u_k = z - v_k and P_H(z - v_k) = sum_{s,r} A[s, r] z^s v_k^r, the
+binomial expansion of the kernel polynomial.  The in-band sum over one cell
+is then sum_{s,r} A[s, r] z^s M_r, with M_r = sum a_k v_k^r over the cell's
+in-band points: a difference of two prefix moments.  The band
+[y_q - h_Y, y_q + h_Y] touches at most three cells, so a query costs two
+``searchsorted`` lookups for the band, one per cell edge and a small
+polynomial: O(log window) instead of O(window).
+
+Per time point the window is sorted once and the K and K' weights are
+computed once per distinct h_T; one set of prefix moments then serves every
+h_T.  Bandwidths h_Y within a factor 2 of each other also share one set,
+built on cells as wide as the smallest of them (moments in units of a wider
+h_Y are the same sums scaled by a power of the width ratio); their bands
+span at most five cells.  The number of cells a band spans is read off the
+data, so a band edge that rounding puts on a cell edge costs one more cell,
+not a wrong sum.
+
+The moments are cell-local because centring matters here.  About a single
+centre they would carry powers of (y range / h_Y) up to the polynomial
+degree (3 for Epanechnikov, 5 for biweight), and their differences would
+cancel catastrophically when one subject sits far from the rest.
+Cell-local moments are bounded by the window's total weight, so the error
+stays at rounding level whatever the spread of the data.
+
+There is no chunking of the queries, because no temporary is a (queries x
+window) product.  The largest are the prefix moments, (window x degree x
+time weights), and the per-query gathers, (queries x cells x degree x time
+weights).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import Kernel
-
-_CHUNK_ELEMS = 4_000_000
 
 
 @dataclass
@@ -62,79 +101,127 @@ def time_window(flat: FlatData, t: float, h_t: float) -> slice:
     return slice(int(lo), int(hi))
 
 
-def _chunks(q: int, width: int):
-    step = max(1, _CHUNK_ELEMS // max(width, 1))
-    for a in range(0, q, step):
-        yield slice(a, min(a + step, q))
+def _expansion(coeffs) -> np.ndarray:
+    """A with P(z - v) = sum_{s,r} A[s, r] z^s v^r, for P(x) = sum_d coeffs[d] x^d."""
+    a = np.zeros((len(coeffs), len(coeffs)))
+    for d, c in enumerate(coeffs):
+        for r in range(d + 1):
+            a[d - r, r] = c * math.comb(d, r) * (-1) ** r
+    return a
 
 
-def qbar_cdf(flat: FlatData, kern: Kernel, h_y: float, h_t: float, t: float, yq):
-    """(Q1 per query, Q2) for the smoothed conditional-cdf ratio."""
-    yq = np.atleast_1d(np.asarray(yq, dtype=float))
-    win = time_window(flat, t, h_t)
-    tw, yw, ww = flat.t[win], flat.y[win], flat.w[win]
-    a = kern.density((t - tw) / h_t) * ww
-    s2 = float(a.sum())
-    s1 = np.empty(yq.size)
-    for ch in _chunks(yq.size, tw.size):
-        u = (yq[ch, None] - yw[None, :]) / h_y
-        s1[ch] = kern.cdf(u) @ a
-    norm = flat.n * h_t
-    return s1 / norm, s2 / norm
+@functools.lru_cache(maxsize=None)
+def _expansions(kern: Kernel) -> np.ndarray:
+    """Expansions of H and of K (zero-padded to H's degree), stacked; read-only."""
+    out = np.stack([_expansion(kern.cdf_coeffs), _expansion(kern.density_coeffs + (0.0,))])
+    out.flags.writeable = False
+    return out
+
+
+def _powers(x: np.ndarray, count: int) -> np.ndarray:
+    """x^0 .. x^(count-1) along a new last axis, by repeated multiplication."""
+    out = np.empty(x.shape + (count,))
+    out[..., 0] = 1.0
+    for r in range(1, count):
+        out[..., r] = out[..., r - 1] * x
+    return out
+
+
+def _cell_moments(u: np.ndarray, a: np.ndarray, deg: int):
+    """Cells floor(u) of sorted ``u`` and the prefix moments about cell centres.
+
+    Returns (cell, mom) with mom[i, r, c] = sum_{j<i} a[j, c] v_j^r, where
+    v_j = u_j - (cell_j + 1/2) lies in [-1/2, 1/2).
+    """
+    cell = np.floor(u)
+    mom = np.empty((u.size + 1, deg, a.shape[1]))
+    mom[0] = 0.0
+    np.multiply(_powers(u - cell - 0.5, deg)[:, :, None], a[:, None, :], out=mom[1:])
+    np.cumsum(mom[1:], axis=0, out=mom[1:])
+    return cell, mom
+
+
+def _band_sums(u, cell, mom, uq, reach: float, expand: np.ndarray):
+    """In-band polynomial sums for queries ``uq`` over the band |u - uq| <= reach.
+
+    ``expand`` stacks the expansions of H and K, whose argument is
+    (uq - u) / reach.  Returns (lo, sums): lo indexes the first in-band
+    point (the mass below it has H = 1) and sums is (queries, H|K, columns).
+    """
+    lo = np.searchsorted(u, uq - reach, side="left")
+    hi = np.searchsorted(u, uq + reach, side="right")
+    first = cell[np.minimum(lo, u.size - 1)]
+    ncell = int((cell[hi - 1] - first).max(initial=0.0, where=hi > lo)) + 1
+    # split each band [lo, hi) at its cell edges
+    inner = np.searchsorted(cell, first[:, None] + np.arange(1, ncell), side="left")
+    edges = np.concatenate(
+        [lo[:, None], np.clip(inner, lo[:, None], hi[:, None]), hi[:, None]], axis=1
+    )
+    deg = expand.shape[-1]
+    band = np.diff(mom[edges], axis=1).reshape(uq.size, ncell * deg, mom.shape[-1])
+    # z and v in units of the band's half width: scale the r-th moment by reach^-r
+    zp = _powers((uq[:, None] - (first[:, None] + np.arange(ncell) + 0.5)) / reach, deg)
+    coef = zp[:, None] @ (expand * _powers(np.float64(1.0 / reach), deg))
+    return lo, coef.reshape(uq.size, 2, ncell * deg) @ band
 
 
 def qbar_all_pairs(flat: FlatData, kern: Kernel, pairs, t: float, yq):
     """All five averages at one time point for each (h_y, h_t) pair.
 
     ``pairs`` is a sequence of (h_y, h_t) tuples; Q1, Q3 and Q5 come per
-    query.  Pairs with equal h_y share one evaluation of H and K on the
-    widest time window; the per-pair time weights are zero outside each
-    pair's own window, so the results equal one-pair calls (up to
-    summation order).
+    query.  All pairs share one y-sorted widest time window; the per-pair
+    time weights are zero outside each pair's own window, so the results
+    equal one-pair calls (up to rounding).  A query more than h_y above
+    every in-window value gets Q1 = Q2 and Q3 = Q4 exactly.
 
     Returns a list of (q1, q2, q3, q4, q5) tuples aligned with ``pairs``.
     """
     yq = np.atleast_1d(np.asarray(yq, dtype=float))
-    h_t_max = max(p[1] for p in pairs)
-    win = time_window(flat, t, h_t_max)
-    tw, yw, ww = flat.t[win], flat.y[win], flat.w[win]
-    n = flat.n
+    col = {ht: c for c, ht in enumerate(sorted({float(ht) for _, ht in pairs}))}
+    h_ts = np.array(list(col))
+    win = time_window(flat, t, h_ts[-1])
+    order = np.argsort(flat.y[win], kind="stable")
+    ys = flat.y[win][order]
+    n, nt = flat.n, h_ts.size
+    if ys.size == 0:
+        zero = np.zeros(yq.size)
+        return [(zero, 0.0, zero, 0.0, zero) for _ in pairs]
+    arg = (t - flat.t[win][order])[:, None] / h_ts
+    ww = flat.w[win][order, None]
+    # time-weight columns: K for each distinct h_t, then K' for each
+    a = np.concatenate([kern.density(arg) * ww, kern.density_deriv(arg) * ww], axis=1)
+    expand = _expansions(kern)
+    deg = expand.shape[-1]
+    # count cells from the middle value: keeps |u|, and so its rounding, small for the bulk
+    origin = ys[ys.size // 2]
 
     groups: dict[float, list[int]] = {}
     for idx, (hy, _) in enumerate(pairs):
         groups.setdefault(float(hy), []).append(idx)
 
     out: list = [None] * len(pairs)
-    for hy, idxs in groups.items():
-        # stacked time-weight columns: K-weights then K'-weights per pair
-        wa = np.empty((tw.size, 2 * len(idxs)))
-        s2 = np.empty(len(idxs))
-        s4 = np.empty(len(idxs))
-        for c, idx in enumerate(idxs):
-            ht = pairs[idx][1]
-            arg = (t - tw) / ht
-            a = kern.density(arg) * ww
-            ap = kern.density_deriv(arg) * ww
-            wa[:, c] = a
-            wa[:, len(idxs) + c] = ap
-            s2[c] = a.sum()
-            s4[c] = ap.sum()
-        s1 = np.empty((yq.size, len(idxs)))
-        s3 = np.empty((yq.size, len(idxs)))
-        s5 = np.empty((yq.size, len(idxs)))
-        for ch in _chunks(yq.size, tw.size):
-            u = (yq[ch, None] - yw[None, :]) / hy
-            both = kern.cdf(u) @ wa
-            s1[ch] = both[:, : len(idxs)]
-            s3[ch] = both[:, len(idxs):]
-            s5[ch] = kern.density(u) @ wa[:, : len(idxs)]
-        for c, idx in enumerate(idxs):
-            ht = pairs[idx][1]
-            out[idx] = (
-                s1[:, c] / (n * ht),
-                float(s2[c]) / (n * ht),
-                s3[:, c] / (n * ht * ht),
-                float(s4[c]) / (n * ht * ht),
-                s5[:, c] / (n * hy * ht),
-            )
+    hys = sorted(groups)
+    while hys:
+        # every h_y within a factor 2 of the smallest left shares cells of that
+        # width, so a band spans at most 5 cells
+        width = hys[0]
+        shared = [hy for hy in hys if hy <= 2.0 * width]
+        hys = hys[len(shared):]
+        u = (ys - origin) / width
+        cell, mom = _cell_moments(u, a, deg)
+        total = mom[-1, 0]
+        uq = (yq - origin) / width
+        for hy in shared:
+            lo, sums = _band_sums(u, cell, mom, uq, hy / width, expand)
+            s_h = mom[lo, 0] + sums[:, 0]
+            for idx in groups[hy]:
+                ht = pairs[idx][1]
+                c = col[float(ht)]
+                out[idx] = (
+                    s_h[:, c] / (n * ht),
+                    float(total[c]) / (n * ht),
+                    s_h[:, nt + c] / (n * ht * ht),
+                    float(total[nt + c]) / (n * ht * ht),
+                    sums[:, 1, c] / (n * hy * ht),
+                )
     return out

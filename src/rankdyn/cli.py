@@ -167,7 +167,11 @@ def _parse_grid(spec: str, sample) -> BandwidthGrid:
             raise UsageError(
                 f"--cv-grid {spec!r}: expected 'default', 'KxK' or 'hY:hT,hY:hT,...'"
             )
-        pairs.append(Bandwidths(float(hy), float(ht)))
+        try:
+            pair = float(hy), float(ht)
+        except ValueError:
+            raise UsageError(f"--cv-grid {spec!r}: {item!r} is not a pair of numbers") from None
+        pairs.append(Bandwidths(*pair))
     return BandwidthGrid(pairs)
 
 
@@ -204,7 +208,8 @@ def _pipeline(cfg: RunConfig, need_bandwidths: bool = True):
     if not need_bandwidths:
         return sample, smoothed, kern, None, None
     bw, report = _resolve_bandwidths(cfg, sample)
-    cfg.h_y, cfg.h_t = bw.h_y, bw.h_t
+    # the manifest keeps the resolved pair without the grid: replay skips re-selection
+    cfg.h_y, cfg.h_t, cfg.cv_grid = bw.h_y, bw.h_t, None
     return sample, smoothed, kern, bw, report
 
 

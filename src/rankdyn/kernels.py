@@ -24,10 +24,21 @@ class Kernel:
     sigma^2(K) = int x^2 K(x) dx is a fixed attribute.  Because the cdf is
     the exact antiderivative of the density, the second moments of K and of
     H' coincide by construction.
+
+    On [-1, 1] both K and H are polynomials.  ``density_coeffs`` holds the
+    ascending-power coefficients of K; those of H follow by integration
+    (``cdf_coeffs``).  The kernel-sum engine expands these polynomials
+    instead of evaluating the pointwise maps.
     """
 
     name: str = ""
     second_moment: float = float("nan")
+    density_coeffs: tuple = ()
+
+    @property
+    def cdf_coeffs(self) -> tuple:
+        """Ascending-power coefficients of H on [-1, 1]: 1/2 + int_0^u K."""
+        return (0.5,) + tuple(c / (p + 1) for p, c in enumerate(self.density_coeffs))
 
     def density(self, u):
         """K(u); zero outside [-1, 1]."""
@@ -54,6 +65,7 @@ class Epanechnikov(Kernel):
 
     name = "epanechnikov"
     second_moment = 0.2
+    density_coeffs = (0.75, 0.0, -0.75)
 
     def density(self, u):
         u = np.clip(u, -1.0, 1.0)
@@ -74,6 +86,7 @@ class Biweight(Kernel):
 
     name = "biweight"
     second_moment = 1.0 / 7.0
+    density_coeffs = (0.9375, 0.0, -1.875, 0.0, 0.9375)
 
     def density(self, u):
         u = np.clip(u, -1.0, 1.0)

@@ -162,7 +162,9 @@ def smooth_cdf(
     """
     _check_interior(t, bw.h_t, allow_boundary)
     flat = _engine.flatten_sample(sample)
-    q1, q2 = _engine.qbar_cdf(flat, kernel, bw.h_y, bw.h_t, t, [float(y)])
+    [(q1, q2, _, _, _)] = _engine.qbar_all_pairs(
+        flat, kernel, [(bw.h_y, bw.h_t)], t, [float(y)]
+    )
     if q2 <= 0.0:
         raise InsufficientDataError(f"no observations within h_t={bw.h_t!r} of t={t!r}")
     # numerator <= denominator holds mathematically (H <= 1 with equal weights);
@@ -198,7 +200,9 @@ def smooth_ranks(
     n = len(ids)
     out = np.empty((n, trimmed.size))
     for g, (tg, c) in enumerate(zip(trimmed, cols)):
-        q1, q2 = _engine.qbar_cdf(flat, kernel, bw.h_y, bw.h_t, float(tg), vals[:, c])
+        [(q1, q2, _, _, _)] = _engine.qbar_all_pairs(
+            flat, kernel, [(bw.h_y, bw.h_t)], float(tg), vals[:, c]
+        )
         if q2 <= 0.0:
             raise InsufficientDataError(
                 f"no observations within h_t={bw.h_t!r} of t={tg!r}"

@@ -25,18 +25,42 @@ def epan_kp(u: float) -> float:
     return -1.5 * u if abs(u) < 1.0 else 0.0
 
 
-def naive_qbars(times, values, h_y, h_t, y, t):
+def biw_k(u: float) -> float:
+    return 15.0 / 16.0 * (1.0 - u * u) ** 2 if abs(u) <= 1.0 else 0.0
+
+
+def biw_h(u: float) -> float:
+    if u <= -1.0:
+        return 0.0
+    if u >= 1.0:
+        return 1.0
+    return 0.5 + 15.0 / 16.0 * (u - 2.0 * u**3 / 3.0 + u**5 / 5.0)
+
+
+def biw_kp(u: float) -> float:
+    return -3.75 * u * (1.0 - u * u) if abs(u) < 1.0 else 0.0
+
+
+# (K, H, K') by kernel name
+KERNELS = {
+    "epanechnikov": (epan_k, epan_h, epan_kp),
+    "biweight": (biw_k, biw_h, biw_kp),
+}
+
+
+def naive_qbars(times, values, h_y, h_t, y, t, kernel="epanechnikov"):
     """(Q1, Q2, Q3, Q4, Q5) by direct summation of the displayed formulas."""
+    k, h, kp = KERNELS[kernel]
     n = len(times)
     q = [0.0] * 5
     for i in range(n):
         m = len(times[i])
         s = [0.0] * 5
         for t_ij, y_ij in zip(times[i], values[i]):
-            tk = epan_k((t - t_ij) / h_t)
-            tkp = epan_kp((t - t_ij) / h_t)
-            hv = epan_h((y - y_ij) / h_y)
-            kv = epan_k((y - y_ij) / h_y)
+            tk = k((t - t_ij) / h_t)
+            tkp = kp((t - t_ij) / h_t)
+            hv = h((y - y_ij) / h_y)
+            kv = k((y - y_ij) / h_y)
             s[0] += hv * tk / h_t
             s[1] += tk / h_t
             s[2] += hv * tkp / (h_t * h_t)
@@ -47,13 +71,13 @@ def naive_qbars(times, values, h_y, h_t, y, t):
     return [x / n for x in q]
 
 
-def naive_smooth_cdf(times, values, h_y, h_t, y, t):
-    q = naive_qbars(times, values, h_y, h_t, y, t)
+def naive_smooth_cdf(times, values, h_y, h_t, y, t, kernel="epanechnikov"):
+    q = naive_qbars(times, values, h_y, h_t, y, t, kernel)
     return q[0] / q[1]
 
 
-def naive_partials(times, values, h_y, h_t, y, t):
-    q1, q2, q3, q4, q5 = naive_qbars(times, values, h_y, h_t, y, t)
+def naive_partials(times, values, h_y, h_t, y, t, kernel="epanechnikov"):
+    q1, q2, q3, q4, q5 = naive_qbars(times, values, h_y, h_t, y, t, kernel)
     return q3 / q2 - q1 * q4 / (q2 * q2), q5 / q2
 
 

@@ -200,19 +200,27 @@ def test_ids_with_comma_and_quote_round_trip(tmp_path):
         assert {r[0] for r in rows} == set(ids)
 
 
-@pytest.mark.parametrize("command", ["ranks", "summaries", "cv", "simulate"])
-def test_every_manifest_replays(command, data_csv, tmp_path):
+@pytest.mark.parametrize(
+    "case",
+    ["ranks", "summaries", "cv", "simulate", "ranks+cv", "decompose+cv", "summaries+cv"],
+)
+def test_every_manifest_replays(case, data_csv, tmp_path):
+    command, _, picked = case.partition("+")
     if command == "simulate":
         args = ["simulate", "--n", "8", "--runs", "1", "--cv-grid", "1.2:0.25"]
     elif command == "cv":
         args = ["cv", "--input", str(data_csv), "--cv-grid", "0.9:0.2,0.5:0.15"]
+    elif picked:
+        args = [command, "--input", str(data_csv), "--cv-grid", "2x2"]
     else:
         args = [command, "--input", str(data_csv), "--h-y", "0.8", "--h-t", "0.2"]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
     rc = main([command, "--config", str(tmp_path / "a" / "run_manifest.json"),
                "--out", str(tmp_path / "b")])
     assert rc == 0
-    for f in (tmp_path / "a").glob("*.csv"):
+    outputs = [f for f in (tmp_path / "a").iterdir() if f.name != "run_manifest.json"]
+    assert outputs
+    for f in outputs:
         assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
 
 
@@ -236,6 +244,11 @@ class TestExitCodes:
         assert main(["decompose", "--input", str(data_csv), "--h-y", "1.0",
                      "--h-t", "0.2", "--cv-grid", "default",
                      "--out", str(tmp_path)]) == 2
+
+    def test_non_numeric_cv_grid_pair_is_usage_error(self, data_csv, tmp_path, capsys):
+        assert main(["cv", "--input", str(data_csv), "--cv-grid", "abc:0.1",
+                     "--out", str(tmp_path)]) == 2
+        assert "usage error" in capsys.readouterr().err
 
     def test_half_pair_is_usage_error(self, data_csv, tmp_path):
         assert main(["decompose", "--input", str(data_csv), "--h-y", "1.0",

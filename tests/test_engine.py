@@ -3,7 +3,7 @@ import pytest
 
 from rankdyn import _engine
 from rankdyn.kernels import BIWEIGHT, EPANECHNIKOV
-from reference import naive_qbars
+from reference import naive_partials, naive_qbars, naive_smooth_cdf
 
 
 def test_flatten_orders_by_time(tiny_sample):
@@ -37,22 +37,90 @@ def test_qbar_all_pairs_matches_singles(tiny_sample):
             assert np.allclose(a, b, atol=1e-13)
 
 
-def test_chunked_queries_match_unchunked(tiny_sample, monkeypatch):
-    flat = _engine.flatten_sample(tiny_sample)
-    yq = np.linspace(-1.0, 2.5, 57)
-    [full] = _engine.qbar_all_pairs(flat, BIWEIGHT, [(0.7, 0.25)], 0.5, yq)
-    monkeypatch.setattr(_engine, "_CHUNK_ELEMS", 64)  # force many tiny chunks
-    [chunked] = _engine.qbar_all_pairs(flat, BIWEIGHT, [(0.7, 0.25)], 0.5, yq)
-    for a, b in zip(full, chunked):
-        # chunking changes the BLAS call shapes, so only near-machine equality
-        assert np.allclose(np.asarray(a), np.asarray(b), rtol=1e-13, atol=1e-15)
+def _ragged(shift, seed=11):
+    """Ten subjects on ragged grids; subject 0 moved up by ``shift``."""
+    rng = np.random.default_rng(seed)
+    times = [np.sort(rng.uniform(0.0, 1.0, rng.integers(5, 10))) for _ in range(10)]
+    values = [rng.normal(0.0, 1.0, ti.size) + 2.0 * ti for ti in times]
+    values[0] = values[0] + shift
+    return times, values
+
+
+def _oracle_gap(times, values, kern, pairs, t, yq):
+    """Largest |engine - direct sums| over F, D1 and D2, all pairs and queries."""
+    flat = _engine.flatten(times, values, len(times))
+    gap = 0.0
+    for (hy, ht), (q1, q2, q3, q4, q5) in zip(
+        pairs, _engine.qbar_all_pairs(flat, kern, pairs, t, yq)
+    ):
+        for qi, y in enumerate(yq):
+            got = (q1[qi] / q2, q3[qi] / q2 - q1[qi] * q4 / (q2 * q2), q5[qi] / q2)
+            want = (
+                naive_smooth_cdf(times, values, hy, ht, y, t, kern.name),
+                *naive_partials(times, values, hy, ht, y, t, kern.name),
+            )
+            gap = max(gap, *(abs(a - b) for a, b in zip(got, want)))
+    return gap
+
+
+@pytest.mark.parametrize("kern", [EPANECHNIKOV, BIWEIGHT], ids=lambda k: k.name)
+@pytest.mark.parametrize("shift", [0.0, 50.0, 500.0])
+def test_engine_matches_oracle_with_outlier(kern, shift):
+    times, values = _ragged(shift)
+    # 0.4 and 0.7 share cells of width 0.4; 1.1 gets its own
+    pairs = [(0.4, 0.2), (0.7, 0.35), (1.1, 0.2), (1.1, 0.35)]
+    allv = np.concatenate(values)
+    # every observed value, points at the band edges, and queries near the outlier
+    yq = np.concatenate([allv, allv[:10] + 0.4, allv[:10] - 1.1, [shift - 0.5, shift + 0.3]])
+    for t in (0.3, 0.5, 0.72):
+        assert _oracle_gap(times, values, kern, pairs, t, yq) < 1e-10
+
+
+@pytest.mark.parametrize("kern", [EPANECHNIKOV, BIWEIGHT], ids=lambda k: k.name)
+def test_engine_matches_oracle_on_ties(kern):
+    # values on a 0.25 lattice with h_y = 0.5: band edges fall on data points
+    # and on cell edges
+    rng = np.random.default_rng(5)
+    grid = np.linspace(0.0, 1.0, 11)
+    times = [grid] * 8
+    values = [np.round(rng.normal(0.0, 1.0, grid.size) * 4.0) / 4.0 for _ in times]
+    yq = np.arange(-3.0, 3.01, 0.25)
+    assert _oracle_gap(times, values, kern, [(0.5, 0.25), (1.0, 0.3)], 0.5, yq) < 1e-10
+
+
+@pytest.mark.parametrize("kern", [EPANECHNIKOV, BIWEIGHT], ids=lambda k: k.name)
+def test_engine_matches_oracle_with_one_observation_in_window(kern):
+    times = [np.array([0.1, 0.48, 0.9]), np.array([0.05, 0.95]), np.array([0.1, 0.85])]
+    values = [np.array([0.3, 1.2, 0.4]), np.array([0.0, 2.0]), np.array([-1.0, 0.5])]
+    win = _engine.time_window(_engine.flatten(times, values, 3), 0.5, 0.2)
+    assert win.stop - win.start == 1
+    yq = np.array([0.5, 1.0, 1.2, 1.5, 1.9])
+    assert _oracle_gap(times, values, kern, [(0.7, 0.2)], 0.5, yq) < 1e-10
+
+
+@pytest.mark.parametrize("kern", [EPANECHNIKOV, BIWEIGHT], ids=lambda k: k.name)
+@pytest.mark.parametrize("shift", [0.0, 500.0])
+def test_queries_beyond_the_band_saturate_exactly(kern, shift):
+    times, values = _ragged(shift)
+    flat = _engine.flatten(times, values, len(times))
+    hy = 0.6
+    win = _engine.time_window(flat, 0.5, 0.3)
+    ymin, ymax = flat.y[win].min(), flat.y[win].max()
+    yq = [ymin - hy - 1e-9, ymin - 10.0, ymax + hy + 1e-9, ymax + 10.0]
+    [(q1, q2, q3, q4, _)] = _engine.qbar_all_pairs(flat, kern, [(hy, 0.3)], 0.5, yq)
+    assert q2 > 0
+    assert q1[0] == q1[1] == 0.0
+    assert q3[0] == q3[1] == 0.0
+    # S1 = S2 and S3 = S4 exactly, so F = 1 and D1 = 0 with no rounding dust
+    assert q1[2] == q1[3] == q2
+    assert q3[2] == q3[3] == q4
 
 
 def test_window_excludes_far_observations(tiny_sample):
     flat = _engine.flatten_sample(tiny_sample)
     win = _engine.time_window(flat, 0.5, 0.15)
     assert np.all(np.abs(flat.t[win] - 0.5) <= 0.15)
-    q1, q2 = _engine.qbar_cdf(flat, EPANECHNIKOV, 0.5, 0.15, 0.5, [0.5])
+    [(q1, q2, _, _, _)] = _engine.qbar_all_pairs(flat, EPANECHNIKOV, [(0.5, 0.15)], 0.5, [0.5])
     ref = naive_qbars(tiny_sample.times, tiny_sample.values, 0.5, 0.15, 0.5, 0.5)
     assert q1[0] == pytest.approx(ref[0], abs=1e-14)
     assert q2 == pytest.approx(ref[1], abs=1e-14)

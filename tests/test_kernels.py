@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 from scipy.integrate import simpson
 
 from rankdyn.kernels import BIWEIGHT, EPANECHNIKOV, get_kernel
@@ -99,3 +100,11 @@ def test_get_kernel():
     assert get_kernel("Biweight") is BIWEIGHT
     with pytest.raises(ValueError):
         get_kernel("gaussian")
+
+
+def test_polynomial_coefficients_match_pointwise_maps():
+    # the engine expands these polynomials; they must be the same K and H
+    x = np.linspace(-1.0, 1.0, 401)
+    for k in KERNELS:
+        assert np.allclose(polyval(x, k.density_coeffs), k.density(x), rtol=0, atol=1e-15)
+        assert np.allclose(polyval(x, k.cdf_coeffs), k.cdf(x), rtol=0, atol=1e-15)
