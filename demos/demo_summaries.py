@@ -30,7 +30,11 @@ def stats_for(sample, label):
     top = max(subs, key=lambda s: s.rho)
     wild = max(subs, key=lambda s: s.nu)
     print(f"highest average rank: {top.id} (rho={top.rho:.3f}, nu={top.nu:.4f})")
-    print(f"most volatile rank:   {wild.id} (rho={wild.rho:.3f}, nu={wild.nu:.4f})")
+    if wild.nu < 5e-5:
+        # every nu prints as 0.0000: an argmax over rounding noise names no one
+        print("most volatile rank:   none; no subject's rank moves (every nu is 0.0000)")
+    else:
+        print(f"most volatile rank:   {wild.id} (rho={wild.rho:.3f}, nu={wild.nu:.4f})")
     print(f"mixing magnitude M = {pop.mixing:.4f}, stability G = {pop.stability:.4f}\n")
     return subs, pop
 

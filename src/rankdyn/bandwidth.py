@@ -12,10 +12,25 @@ Leaving out always removes the whole subject: the within-subject
 observations are maximally dependent, so removing a single point would
 barely change the estimator and defeat the validation.  One code path
 serves shared and ragged grids alike.  Subjects are held as padded rows,
-and at each distinct interior observation time every subject's kernel
-sums come from one batched product over its own time window; the
-leave-out cdf is then (all-subject sums - own sums) / (all mass - own
-mass).  Pairs with equal h_y share the kernel tensor of the widest h_t.
+and the leave-out cdf is (all-subject sums - own sums) / (all mass - own
+mass).
+
+The sorted distinct interior times are walked in consecutive blocks.  A
+block ends before a time that would score one of its subjects a second
+time, and after as many times as the longest subject has observations;
+both limits come from the data.  On a shared grid every subject is scored
+at every time, so each block is one time; on a ragged grid a block holds
+many.  Per h_y and block, every subject's widest-h_t window over the
+block is gathered once and H is evaluated once on it, as an (n, w, 201)
+tensor.  The time weights of all pairs with that h_y at all block times
+form a (pairs, B, n, w) tensor; one matmul gives the all-subject sums at
+every block time, and one batched matmul gives each scored subject's own
+sums from its weights at the time where it is scored.  Batching the pairs
+reads the H tensor twice per block instead of twice per pair.
+
+Memory: no array grows as n^2.  Each subject is scored at most once per
+block, so own sums are (n, pairs, 201), and B is bounded by the largest
+m_i, so the weights are O(n m^2) per pair.
 """
 
 from __future__ import annotations
@@ -130,6 +145,26 @@ def _sq_error_integrals(ygrid: np.ndarray, f: np.ndarray, jumps: np.ndarray) -> 
     return base + tail[idx, cols] + partial
 
 
+def _time_blocks(obs_i: np.ndarray, first: np.ndarray, limit: int) -> list[int]:
+    """Split the sorted interior times into consecutive blocks.
+
+    ``first[k]:first[k + 1]`` indexes the scored subjects ``obs_i`` at time
+    k.  A block ends before the time that would score one of its subjects a
+    second time, and after ``limit`` times.  Returns the block starts, with
+    the number of times appended.
+    """
+    starts = [0]
+    seen: set[int] = set()
+    for k in range(first.size - 1):
+        subjects = obs_i[first[k] : first[k + 1]].tolist()
+        if k - starts[-1] == limit or not seen.isdisjoint(subjects):
+            starts.append(k)
+            seen = set()
+        seen.update(subjects)
+    starts.append(first.size - 1)
+    return starts
+
+
 def _cv_values(
     sample: FunctionalSample,
     pairs: list[Bandwidths],
@@ -146,7 +181,8 @@ def _cv_values(
     # Padded rows of time, value and weight 1/m_i.  Padding sits at t = 2,
     # outside every kernel window (h_t < 0.5), with weight 0; the extra
     # all-padding column lets every row give a slice as wide as the widest.
-    width = max(t.size for t in sample.times) + 1
+    m_max = max(t.size for t in sample.times)
+    width = m_max + 1
     times = np.full((sample.n, width), 2.0)
     vals = np.zeros((sample.n, width))
     wts = np.zeros((sample.n, width))
@@ -154,9 +190,15 @@ def _cv_values(
         times[i, : t.size] = t
         vals[i, : t.size] = v
         wts[i, : t.size] = 1.0 / t.size
-    interior = np.unique(times[(times > h_max) & (times < 1.0 - h_max)])
-    if interior.size == 0:
+    obs_i, obs_j = np.nonzero((times > h_max) & (times < 1.0 - h_max))
+    if obs_i.size == 0:
         raise DomainError(f"no observation times inside ({h_max}, {1 - h_max})")
+    # scored observations ordered by time; time k's are first[k]:first[k + 1]
+    interior, obs_k = np.unique(times[obs_i, obs_j], return_inverse=True)
+    order = np.argsort(obs_k, kind="stable")
+    obs_i, obs_k, jumps = obs_i[order], obs_k[order], vals[obs_i, obs_j][order]
+    first = np.searchsorted(obs_k, np.arange(interior.size + 1))
+    starts = _time_blocks(obs_i, first, m_max)
 
     groups: dict[float, list[int]] = {}
     for idx, bw in enumerate(pairs):
@@ -166,32 +208,41 @@ def _cv_values(
     totals = [0.0] * len(pairs)
     for h_y, idxs in groups.items():
         ygrid = np.linspace(allv.min() - h_y, allv.max() + h_y, _Y_GRID_SIZE)
-        ht_max = max(pairs[i].h_t for i in idxs)
-        for t in interior:
-            # each row's widest-h_t window is the slice [lo, hi) of its times
-            lo = np.count_nonzero(times < t - ht_max, axis=1)
-            hi = np.count_nonzero(times <= t + ht_max, axis=1)
+        h_ts = np.array([pairs[i].h_t for i in idxs])
+        ht_max = h_ts.max()
+        for s, e in zip(starts[:-1], starts[1:]):
+            tb = interior[s:e]
+            # each row's widest-h_t windows over the block are the slice [lo, hi)
+            lo = np.count_nonzero(times < tb[0] - ht_max, axis=1)
+            hi = np.count_nonzero(times <= tb[-1] + ht_max, axis=1)
             cols = np.minimum(lo[:, None] + np.arange((hi - lo).max()), width - 1)
-            twin = np.take_along_axis(times, cols, axis=1)
-            wwin = np.take_along_axis(wts, cols, axis=1)
-            vwin = np.take_along_axis(vals, cols, axis=1)
+            twin, vwin, wwin = (np.take_along_axis(x, cols, axis=1) for x in (times, vals, wts))
             hu = kernel.cdf((ygrid - vwin[:, :, None]) / h_y)  # (n, w, Gy)
-            obs_i, obs_j = np.nonzero(times == t)
-            for idx in idxs:
-                h_t = pairs[idx].h_t
-                a = kernel.density((t - twin) / h_t) * wwin
-                own = (a[:, None, :] @ hu)[:, 0, :]  # (n, Gy), per-subject numerator sums
-                mass = a.sum(axis=1)
-                denom = mass.sum() - mass[obs_i]
-                if np.any(denom <= 0.0):
+            # time weights of every pair at every block time, (P, B, n, w)
+            a = kernel.density((tb[:, None, None] - twin) / h_ts[:, None, None, None]) * wwin
+            p, b, n, w = a.shape
+            full = (a.reshape(p * b, -1) @ hu.reshape(-1, _Y_GRID_SIZE)).reshape(p, b, -1)
+            # the block's scored observations: subject bi at block time bk, each subject once
+            sel = slice(first[s], first[e])
+            bi, bk = obs_i[sel], obs_k[sel] - s
+            own_a = np.zeros((n, p, w))
+            own_a[bi] = a[:, bk, bi].transpose(1, 0, 2)  # weights at the subject's scored time
+            own = own_a @ hu  # (n, P, Gy), per-subject numerator sums
+            mass = a.sum(axis=3)
+            denom = mass.sum(axis=2)[:, bk] - mass[:, bk, bi]  # (P, K)
+            for q, idx in enumerate(idxs):
+                if np.any(denom[q] <= 0.0):
+                    bad = np.flatnonzero(denom[q] <= 0.0)[0]
                     raise InsufficientDataError(
-                        f"no observations within h_t={h_t!r} of t={float(t)!r} after leaving "
-                        f"out subject {sample.ids[obs_i[np.argmin(denom)]]!r}"
+                        f"no observations within h_t={pairs[idx].h_t!r} of t={float(tb[bk[bad]])!r} "
+                        f"after leaving out subject {sample.ids[bi[bad]]!r}"
                     )
-                f_loo = (own.sum(axis=0) - own[obs_i]) / denom[:, None]
-                totals[idx] += float(
-                    _sq_error_integrals(ygrid, f_loo.T, vals[obs_i, obs_j]).sum()
-                )
+                f_loo = (full[q, bk] - own[bi, q]) / denom[q, :, None]
+                totals[idx] += float(_sq_error_integrals(ygrid, f_loo.T, jumps[sel]).sum())
+            # drop the weights and sums before the next block's H tensor is built,
+            # which sets peak memory; H is kept: freeing it too lets the allocator
+            # return the heap to the system, and each block then faults it back in
+            del a, full, own
     return totals
 
 

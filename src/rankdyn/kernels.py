@@ -52,10 +52,6 @@ class Kernel:
         """K'(u); zero outside (-1, 1), including at the support edges."""
         raise NotImplementedError
 
-    def moments(self):
-        """Return (sigma^2(K), sigma^2(H')); equal since H' = K."""
-        return self.second_moment, self.second_moment
-
     def __repr__(self):
         return f"{type(self).__name__}()"
 

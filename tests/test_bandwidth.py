@@ -1,11 +1,30 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rankdyn.bandwidth import BandwidthGrid, cv_objective, select_bandwidths
 from rankdyn.errors import DataError, DomainError, InsufficientDataError
+from rankdyn.kernels import BIWEIGHT, EPANECHNIKOV
 from rankdyn.ranks import Bandwidths
 from rankdyn.sample import FunctionalSample
+from rankdyn.simulation import SimModel, basis_matrix
 from reference import epan_h, naive_cv_objective, trapezoid
+
+
+def ragged_sample(n: int, seed: int) -> FunctionalSample:
+    """Verification-model curves on one jittered grid per subject, m_i in 25..40.
+
+    Every observation time is distinct, so consecutive interior times score
+    different subjects and CV blocks span several times.
+    """
+    rng = np.random.default_rng(seed)
+    model = SimModel()
+    sizes = rng.permutation([25 + (15 * i) // (n - 1) for i in range(n)])
+    times = [(np.arange(m) + rng.uniform(0.05, 0.95, m)) / m for m in sizes]
+    xi = rng.normal(model.means, model.sds, size=(n, 5))
+    values = [basis_matrix(t)[0] @ x for t, x in zip(times, xi)]
+    return FunctionalSample([f"s{i}" for i in range(n)], times, values)
 
 
 class TestBandwidthGrid:
@@ -130,6 +149,17 @@ class TestCvObjective:
         with pytest.raises(DomainError):
             cv_objective(s, Bandwidths(0.5, 0.2), h_max=0.25)
 
+    def test_no_other_subject_near_scored_time_names_time_and_subject(self):
+        # at t = 0.5 only subject a is observed within h_t, so leaving it out
+        # leaves no kernel mass
+        s = FunctionalSample(
+            ["a", "b"],
+            [np.array([0.1, 0.5, 0.9]), np.array([0.1, 0.9])],
+            [np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0])],
+        )
+        with pytest.raises(InsufficientDataError, match=r"t=0\.5 after leaving out subject 'a'"):
+            cv_objective(s, Bandwidths(0.5, 0.2), h_max=0.25)
+
     def test_two_subjects_allowed_one_rejected(self):
         grid = np.linspace(0, 1, 11)
         pair = FunctionalSample.from_matrix(grid, np.vstack([np.zeros(11), np.ones(11)]))
@@ -158,11 +188,15 @@ class TestSelectBandwidths:
         assert chosen_value == best
 
     def test_batched_matches_single_pair_path(self, sim50):
+        ragged = ragged_sample(12, seed=8)
+        assert np.unique(np.concatenate(ragged.times)).size == sum(t.size for t in ragged.times)
         grid = BandwidthGrid.geometric(steps=2)
-        report = select_bandwidths(sim50.sample, grid)
-        for entry in report.entries:
-            solo = cv_objective(sim50.sample, entry.bw, h_max=grid.h_max)
-            assert entry.value == pytest.approx(solo, rel=1e-9)
+        for sample in (sim50.sample, ragged):
+            for kernel in (EPANECHNIKOV, BIWEIGHT):
+                report = select_bandwidths(sample, grid, kernel)
+                for entry in report.entries:
+                    solo = cv_objective(sample, entry.bw, h_max=grid.h_max, kernel=kernel)
+                    assert entry.value == pytest.approx(solo, rel=1e-9)
 
     def test_deterministic(self, sim50):
         grid = BandwidthGrid.geometric(steps=2)
@@ -183,3 +217,18 @@ class TestSelectBandwidths:
         values = [e.value for e in report.entries]
         if values[0] == values[1] == values[2]:
             assert report.chosen == Bandwidths(2.0, 0.2)
+
+
+def test_memory_grows_linearly_in_subjects():
+    # kernel tensors are (n, window, y-grid) per block; nothing may grow as n^2
+    peaks = []
+    for n in (60, 240):
+        sample = ragged_sample(n, seed=n)
+        grid = BandwidthGrid.scaled_default(sample)
+        tracemalloc.start()
+        try:
+            select_bandwidths(sample, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] / peaks[0] <= 5.0

@@ -1,9 +1,8 @@
 """Smoke test: every demo script runs to completion and prints something.
 
 The demos are the public-API callers of the package outside the tests.
-Their text is not asserted: some lines print an argmax over values that
-are all rounding dust, which is not stable across numerically equivalent
-engines.
+Their text is not asserted: it prints floating-point results whose last
+digits may differ between numerically equivalent implementations.
 """
 
 import os

@@ -80,9 +80,7 @@ def test_density_deriv_matches_finite_differences():
 def test_second_moments():
     x = np.linspace(-1.0, 1.0, 40001)
     for k, expected in [(EPANECHNIKOV, 0.2), (BIWEIGHT, 1.0 / 7.0)]:
-        s2k, s2h = k.moments()
-        assert s2k == pytest.approx(expected, abs=1e-12)
-        assert s2h == s2k
+        assert k.second_moment == pytest.approx(expected, abs=1e-12)
         assert simpson(x * x * k.density(x), x=x) == pytest.approx(expected, abs=1e-9)
 
 
