@@ -44,10 +44,6 @@ class UsageError(Exception):
     pass
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
@@ -61,11 +57,49 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _fmt_column(x) -> list[str]:
+    """The elements of ``x`` as CSV fields: repr of each as a Python float."""
+    return list(map(repr, np.asarray(x, dtype=float).ravel().tolist()))
+
+
+def _grid_table(ids: list[str], grid, *fields) -> list[list[str]]:
+    """Columns id, t and one per (n, G) field, a row per subject and grid point."""
+    id_col = [sid for sid in map(_csv_field, ids) for _ in range(len(grid))]
+    return [id_col, _fmt_column(grid) * len(ids), *map(_fmt_column, fields)]
+
+
+def _write_csv(path: Path, header: list[str], *tables: list[list[str]]) -> None:
+    """Write tables of equal-length field columns, one after another, as one CSV."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
+    for columns in tables:
+        lines += map(",".join, zip(*columns))
     _write_atomic(path, "\n".join(lines) + "\n")
+
+
+def _attr_columns(items, names: list[str]) -> list[list[str]]:
+    """One float column per attribute name, a row per item."""
+    return [_fmt_column([getattr(item, name) for item in items]) for name in names]
+
+
+def _write_ranks(path: Path, sets) -> None:
+    tables = [
+        # ranks are clamped into [0, 1]; adding 0.0 turns -0.0 into 0.0
+        [*_grid_table(rk.ids, rk.eval_grid, np.clip(rk.ranks, 0.0, 1.0) + 0.0),
+         [rk.method] * rk.ranks.size]
+        for rk in sets
+    ]
+    _write_csv(path, ["id", "t", "rank", "method"], *tables)
+
+
+def _write_decomposition(path: Path, dec) -> None:
+    table = _grid_table(dec.ids, dec.trimmed_grid, dec.c1, dec.c2, dec.rprime)
+    _write_csv(path, ["id", "t", "c1", "c2", "rprime"], table)
+
+
+def _write_subject_summaries(path: Path, subs) -> None:
+    names = ["rho", "nu", "zeta", "eta"]
+    table = [[_csv_field(s.id) for s in subs], *_attr_columns(subs, names)]
+    _write_csv(path, ["id", *names], table)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -223,13 +257,6 @@ def _outdir(cfg: RunConfig) -> Path:
     return out
 
 
-def _rank_rows(rk):
-    for i, sid in enumerate(rk.ids):
-        sid = _csv_field(sid)
-        for g, t in enumerate(rk.eval_grid):
-            yield [sid, _fmt(t), _fmt(min(1.0, max(0.0, rk.ranks[i, g]))), rk.method]
-
-
 def _cmd_ranks(cfg: RunConfig) -> int:
     if cfg.method not in ("both", "empirical", "smooth"):
         raise UsageError(f"--method must be 'empirical', 'smooth' or 'both', got {cfg.method!r}")
@@ -240,8 +267,7 @@ def _cmd_ranks(cfg: RunConfig) -> int:
         sets.append(empirical_ranks(smoothed))
     if cfg.method in ("both", "smooth"):
         sets.append(smooth_ranks(smoothed, bw, kernel=kern))
-    rows = [row for rk in sets for row in _rank_rows(rk)]
-    _write_csv(out / "ranks.csv", ["id", "t", "rank", "method"], rows)
+    _write_ranks(out / "ranks.csv", sets)
     if cfg.svg:
         rk = sets[-1]
         svgplot.line_chart(
@@ -261,14 +287,7 @@ def _cmd_decompose(cfg: RunConfig) -> int:
     cfg.trim = repr(trim)
     dec = decompose(sample, smoothed, bw, trim=trim, kernel=kern)
     out = _outdir(cfg)
-    rows = []
-    for i, sid in enumerate(dec.ids):
-        sid = _csv_field(sid)
-        for g, t in enumerate(dec.trimmed_grid):
-            rows.append(
-                [sid, _fmt(t), _fmt(dec.c1[i, g]), _fmt(dec.c2[i, g]), _fmt(dec.rprime[i, g])]
-            )
-    _write_csv(out / "decomposition.csv", ["id", "t", "c1", "c2", "rprime"], rows)
+    _write_decomposition(out / "decomposition.csv", dec)
     lam = contributions(dec)
     _write_json(out / "contributions.json", {"lambda1": lam.lambda1, "lambda2": lam.lambda2})
     if cfg.svg:
@@ -292,8 +311,7 @@ def _cmd_summaries(cfg: RunConfig) -> int:
     subs = subject_summaries(rks, dec)
     pop = population_summaries(dec)
     out = _outdir(cfg)
-    rows = [[_csv_field(s.id), _fmt(s.rho), _fmt(s.nu), _fmt(s.zeta), _fmt(s.eta)] for s in subs]
-    _write_csv(out / "subject_summaries.csv", ["id", "rho", "nu", "zeta", "eta"], rows)
+    _write_subject_summaries(out / "subject_summaries.csv", subs)
     _write_json(out / "population.json", pop.to_json_dict())
     if cfg.svg:
         svgplot.line_chart(
@@ -314,8 +332,9 @@ def _cmd_cv(cfg: RunConfig) -> int:
     grid = _parse_grid(cfg.cv_grid if cfg.cv_grid is not None else "default", sample)
     report = select_bandwidths(sample, grid, kernel=kern)
     out = _outdir(cfg)
-    rows = [[_fmt(e.bw.h_y), _fmt(e.bw.h_t), _fmt(e.value)] for e in report.entries]
-    _write_csv(out / "cv_report.csv", ["h_y", "h_t", "cv_value"], rows)
+    bws = [e.bw for e in report.entries]
+    table = [*_attr_columns(bws, ["h_y", "h_t"]), *_attr_columns(report.entries, ["value"])]
+    _write_csv(out / "cv_report.csv", ["h_y", "h_t", "cv_value"], table)
     _write_json(out / "chosen.json", {"h_y": report.chosen.h_y, "h_t": report.chosen.h_t})
     cfg.h_y, cfg.h_t = report.chosen.h_y, report.chosen.h_t
     _manifest(cfg, out)
@@ -342,25 +361,13 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         workers=int(cfg.threads),
     )
     out = _outdir(cfg)
-    rows = [
-        [
-            str(r.run), str(r.n),
-            _fmt(r.h_y_cv), _fmt(r.h_t_cv), _fmt(r.h_y_opt), _fmt(r.h_t_opt),
-            _fmt(r.mise_c1_cv), _fmt(r.mise_c2_cv), _fmt(r.mise_c1_opt), _fmt(r.mise_c2_opt),
-        ]
-        for r in report.rows
-    ]
-    _write_csv(
-        out / "report.csv",
-        ["run", "n", "h_y_cv", "h_t_cv", "h_y_opt", "h_t_opt",
-         "mise_c1_cv", "mise_c2_cv", "mise_c1_opt", "mise_c2_opt"],
-        rows,
-    )
-    err_rows = [
-        [str(r.run), str(r.n), _fmt(r.err_rho), _fmt(r.err_nu), _fmt(r.err_zeta)]
-        for r in report.rows
-    ]
-    _write_csv(out / "summary_errors.csv", ["run", "n", "err_rho", "err_nu", "err_zeta"], err_rows)
+    keys = [[str(r.run) for r in report.rows], [str(r.n) for r in report.rows]]
+    names = ["h_y_cv", "h_t_cv", "h_y_opt", "h_t_opt",
+             "mise_c1_cv", "mise_c2_cv", "mise_c1_opt", "mise_c2_opt"]
+    _write_csv(out / "report.csv", ["run", "n", *names], [*keys, *_attr_columns(report.rows, names)])
+    names = ["err_rho", "err_nu", "err_zeta"]
+    _write_csv(out / "summary_errors.csv", ["run", "n", *names],
+               [*keys, *_attr_columns(report.rows, names)])
     if cfg.svg:
         for label, key in [("cv", lambda r: r.mise_c1_cv + r.mise_c2_cv),
                            ("opt", lambda r: r.mise_c1_opt + r.mise_c2_opt)]:

@@ -78,6 +78,8 @@ class RankTrajectories:
             raise DataError("ranks must be (n, G)")
         if self.method not in ("empirical", "smooth"):
             raise DataError(f"unknown rank method {self.method!r}")
+        if not np.all(np.isfinite(self.ranks)):
+            raise DataError("ranks must be finite")
         if self.ranks.size and (self.ranks.min() < -_TOL or self.ranks.max() > 1 + _TOL):
             raise DataError("ranks must lie in [0, 1]")
 

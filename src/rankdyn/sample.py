@@ -6,9 +6,17 @@ in its own bin ((j-1)/m, j/m], or (permissive rule, needed for grids of the
 form {j/m : j = 0..m} that include t = 0) no gap between consecutive
 points, or between the domain edges and the extreme points, exceeds 2/m.
 
+Ingestion works on columns: the long CSV is parsed column by column, sorted
+with one lexsort and split into subjects, and each distinct observation
+grid is validated once, however many subjects share it.
+
 Presmoothing fits a local quadratic with kernel weights around every point
-of a uniform evaluation grid, returning fitted values (intercept) and first
-derivatives (linear coefficient) per subject.
+of a uniform evaluation grid; the intercept is the fitted value, the linear
+coefficient the first derivative.  The fit is a linear smoother whose
+weights depend only on the observation grid, so there is one smoother per
+distinct grid: its kernel-weighted design and the factors of its (G, 3, 3)
+local moment matrices are built once and fit all subjects on that grid
+together, with one matmul for their weighted responses.
 """
 
 from __future__ import annotations
@@ -67,6 +75,14 @@ def _validate_grid(t: np.ndarray, subject: str) -> None:
             )
 
 
+def _grid_groups(times: list[np.ndarray]) -> dict[bytes, list[int]]:
+    """Subject indices per distinct grid, grids in order of their first subject."""
+    groups: dict[bytes, list[int]] = {}
+    for i, t in enumerate(times):
+        groups.setdefault(t.tobytes(), []).append(i)
+    return groups
+
+
 @dataclass
 class FunctionalSample:
     """n subject trajectories on per-subject dense grids in [0, 1].
@@ -93,11 +109,22 @@ class FunctionalSample:
         for sid, t, v in zip(self.ids, self.times, self.values):
             if t.shape != v.shape or t.ndim != 1:
                 raise DataError(f"subject {sid!r}: times and values must be equal-length 1-d arrays")
-            if not np.all(np.isfinite(v)):
-                raise DataError(f"subject {sid!r} has non-finite values")
-            _validate_grid(t, sid)
+        # the first subject with non-finite values, or n
+        finite = np.isfinite(np.concatenate(self.values))
+        bad = self.n
+        if not finite.all():
+            ends = np.cumsum([v.size for v in self.values])
+            bad = int(np.searchsorted(ends, np.argmin(finite), side="right"))
+        # grids in first-appearance order: a subject's value check comes before its grid's
+        groups = _grid_groups(self.times)
+        for members in groups.values():
+            if members[0] >= bad:
+                break
+            _validate_grid(self.times[members[0]], self.ids[members[0]])
+        if bad < self.n:
+            raise DataError(f"subject {self.ids[bad]!r} has non-finite values")
         first = self.times[0]
-        if all(t.size == first.size and np.array_equal(t, first) for t in self.times):
+        if all(np.array_equal(self.times[m[0]], first) for m in groups.values()):
             self.shared_grid = first
 
     @property
@@ -167,6 +194,18 @@ def _parse_float(text: str, what: str, line_no: int) -> float:
     return x
 
 
+def _check_record(row: list[str], line_no: int) -> None:
+    """Raise the first problem of one data record, its fields taken in order."""
+    if len(row) != 3:
+        raise CsvFormatError(f"line {line_no}: expected 3 columns, got {len(row)}")
+    if not row[0].strip():
+        raise CsvFormatError(f"line {line_no}: empty subject id")
+    t = _parse_float(row[1], "time", line_no)
+    _parse_float(row[2], "value", line_no)
+    if t < 0.0 or t > 1.0:
+        raise DomainError(f"line {line_no}: time {t!r} outside [0, 1]")
+
+
 def load_long_csv(source) -> FunctionalSample:
     """Read a long-format CSV (``id,time,value``) into a FunctionalSample.
 
@@ -178,7 +217,9 @@ def load_long_csv(source) -> FunctionalSample:
 
     Rows are grouped by id (subjects keep first-appearance order) and
     sorted by time within each subject.  Times must lie in [0, 1]; repeated
-    (id, time) pairs and non-finite values are rejected.
+    (id, time) pairs and non-finite values are rejected.  The fields are
+    checked column by column; an error names the first bad record, counting
+    blank records.
     """
     fh, close = _open_text(source)
     try:
@@ -186,35 +227,45 @@ def load_long_csv(source) -> FunctionalSample:
         header = next(reader, None)
         if header is None or [c.strip().lower() for c in header] != ["id", "time", "value"]:
             raise CsvFormatError("expected header 'id,time,value'")
-        by_id: dict[str, list[tuple[float, float]]] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise CsvFormatError(f"line {line_no}: expected 3 columns, got {len(row)}")
-            sid = row[0].strip()
-            if not sid:
-                raise CsvFormatError(f"line {line_no}: empty subject id")
-            t = _parse_float(row[1], "time", line_no)
-            v = _parse_float(row[2], "value", line_no)
-            if t < 0.0 or t > 1.0:
-                raise DomainError(f"line {line_no}: time {t!r} outside [0, 1]")
-            by_id.setdefault(sid, []).append((t, v))
+        records = list(reader)
     finally:
         if close:
             fh.close()
-    if not by_id:
+    rows = [row for row in records if row]
+    if not rows:
         raise CsvFormatError("no data rows found")
-    ids, times, values = [], [], []
-    for sid, pairs in by_id.items():
-        pairs.sort(key=lambda p: p[0])
-        t = np.array([p[0] for p in pairs])
-        if np.any(np.diff(t) == 0.0):
-            raise DuplicateTimeError(f"subject {sid!r} has duplicate (id, time) rows")
-        ids.append(sid)
-        times.append(t)
-        values.append(np.array([p[1] for p in pairs]))
-    return FunctionalSample(ids, times, values)
+    good = set(map(len, rows)) == {3}
+    if good:
+        sid_text, t_text, v_text = zip(*rows)
+        sids = list(map(str.strip, sid_text))
+        try:
+            t = np.fromiter(map(float, t_text), float, len(rows))
+            v = np.fromiter(map(float, v_text), float, len(rows))
+        except ValueError:
+            good = False
+        else:
+            good = "" not in sids and bool(
+                np.all(np.isfinite(t) & np.isfinite(v) & (t >= 0.0) & (t <= 1.0))
+            )
+        del sid_text, t_text, v_text
+    if not good:
+        # some record is bad: find the first one, numbered as read
+        for line_no, row in enumerate(records, start=2):
+            if row:
+                _check_record(row, line_no)
+    del records, rows
+    ids = list(dict.fromkeys(sids))   # first-appearance order
+    code = {sid: i for i, sid in enumerate(ids)}
+    subject = np.fromiter(map(code.__getitem__, sids), np.intp, len(sids))
+    order = np.lexsort((t, subject))
+    subject, t, v = subject[order], t[order], v[order]
+    dup = (subject[1:] == subject[:-1]) & (t[1:] == t[:-1])
+    if dup.any():
+        sid = ids[subject[np.argmax(dup)]]
+        raise DuplicateTimeError(f"subject {sid!r} has duplicate (id, time) rows")
+    edges = [0, *(np.flatnonzero(subject[1:] != subject[:-1]) + 1).tolist(), subject.size]
+    spans = list(zip(edges[:-1], edges[1:]))
+    return FunctionalSample(ids, [t[a:b] for a, b in spans], [v[a:b] for a, b in spans])
 
 
 def load_wide_csv(source) -> FunctionalSample:
@@ -266,6 +317,47 @@ def default_presmooth_bandwidth(sample: FunctionalSample) -> float:
     return max(0.15, 3.0 / m_min)
 
 
+def _fit_grid(
+    t: np.ndarray, y: np.ndarray, grid: np.ndarray, h_d: float, kernel: Kernel, sid: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Local-quadratic values and derivatives, each (k, G), of the k rows of ``y`` on grid ``t``.
+
+    ``sid`` is the first subject observed on ``t``, named in error messages.
+    """
+    x = (t[None, :] - grid[:, None]) / h_d          # (G, m), scaled offsets
+    w = kernel.density(x)
+    counts = np.count_nonzero(np.abs(x) < 1.0, axis=1)
+    if counts.min() < 3:
+        g_bad = grid[int(np.argmin(counts))]
+        raise InsufficientDataError(
+            f"subject {sid!r}: only {int(counts.min())} observations in the "
+            f"smoothing window at t={g_bad:.4g} (need >= 3); increase h_d"
+        )
+    # weighted design rows w x^p (p < 3) and moments S_p = sum w x^p (p < 5)
+    design = np.empty((3, grid.size, t.size))
+    design[0] = w
+    np.multiply(w, x, out=design[1])
+    np.multiply(design[1], x, out=design[2])
+    wx3 = design[2] * x
+    s0, s1, s2 = design.sum(axis=2, keepdims=True)   # each (G, 1)
+    s3 = wx3.sum(axis=1, keepdims=True)
+    s4 = (wx3 * x).sum(axis=1, keepdims=True)
+    # A[r, c] = S_{r+c} is symmetric positive definite; factor A = L D L^T
+    l10, l20 = s1 / s0, s2 / s0
+    d1 = s2 - l10 * s1
+    l21 = (s3 - l20 * s1) / d1
+    d2 = s4 - l20 * s2 - l21 * l21 * d1
+    if not np.all((s0 > 0.0) & (d1 > 0.0) & (d2 > 0.0)):
+        raise InsufficientDataError(f"subject {sid!r}: singular local design; increase h_d")
+    # weighted responses of all k subjects in one matmul, then A b = r per (g, subject)
+    r0, r1, r2 = (design.reshape(-1, t.size) @ y.T).reshape(3, grid.size, -1)
+    r1 = r1 - l10 * r0
+    b2 = (r2 - l20 * r0 - l21 * r1) / d2
+    b1 = r1 / d1 - l21 * b2
+    b0 = r0 / s0 - l10 * b1 - l20 * b2
+    return b0.T, b1.T / h_d
+
+
 def presmooth(
     sample: FunctionalSample,
     h_d: float | None = None,
@@ -281,8 +373,16 @@ def presmooth(
     reproduced exactly, so constants get derivative 0 and lines keep their
     slope.
 
-    Raises InsufficientDataError when fewer than 3 observations of some
-    subject fall inside the window around an evaluation point.
+    The fit is linear in the observed values, with weights that depend only
+    on the observation grid, so it is done once per distinct grid, in order
+    of the grid's first subject.  The weighted design rows w x^p and the
+    L D L^T factors of the 3x3 moment matrices are built once per grid; one
+    matmul gives the weighted responses of all subjects on the grid, and the
+    triangular solves run on all of them at once.
+
+    Raises InsufficientDataError, naming the first subject on the grid,
+    when fewer than 3 observations fall inside the window around an
+    evaluation point or the local design is singular.
     """
     if h_d is None:
         h_d = default_presmooth_bandwidth(sample)
@@ -291,38 +391,12 @@ def presmooth(
     if eval_grid_size < 2:
         raise DomainError("eval_grid_size must be at least 2")
     grid = np.linspace(0.0, 1.0, int(eval_grid_size))
-    n = sample.n
-    vals = np.empty((n, grid.size))
-    derivs = np.empty((n, grid.size))
-    for i, (sid, tobs, yobs) in enumerate(zip(sample.ids, sample.times, sample.values)):
-        x = (tobs[None, :] - grid[:, None]) / h_d          # (G, m), scaled offsets
-        w = kernel.density(x)
-        counts = np.count_nonzero(np.abs(x) < 1.0, axis=1)
-        if counts.min() < 3:
-            g_bad = grid[int(np.argmin(counts))]
-            raise InsufficientDataError(
-                f"subject {sid!r}: only {int(counts.min())} observations in the "
-                f"smoothing window at t={g_bad:.4g} (need >= 3); increase h_d"
-            )
-        # weighted design moments S_p = sum w x^p and responses T_p = sum w x^p y
-        s = np.empty((grid.size, 5))
-        tm = np.empty((grid.size, 3))
-        wxp = w
-        for p in range(5):
-            s[:, p] = wxp.sum(axis=1)
-            if p < 3:
-                tm[:, p] = wxp @ yobs
-            wxp = wxp * x
-        a = np.empty((grid.size, 3, 3))
-        for r in range(3):
-            for c in range(3):
-                a[:, r, c] = s[:, r + c]
-        try:
-            beta = np.linalg.solve(a, tm[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            raise InsufficientDataError(
-                f"subject {sid!r}: singular local design; increase h_d"
-            ) from None
-        vals[i] = beta[:, 0]
-        derivs[i] = beta[:, 1] / h_d
+    vals = np.empty((sample.n, grid.size))
+    derivs = np.empty((sample.n, grid.size))
+    for members in _grid_groups(sample.times).values():
+        first = members[0]
+        y = np.vstack([sample.values[i] for i in members])   # (k, m)
+        vals[members], derivs[members] = _fit_grid(
+            sample.times[first], y, grid, h_d, kernel, sample.ids[first]
+        )
     return SmoothedSample(list(sample.ids), grid, vals, derivs, float(h_d))

@@ -109,3 +109,72 @@ def trapezoid(xs, fs) -> float:
     for a, b, fa, fb in zip(xs, xs[1:], fs, fs[1:]):
         acc += 0.5 * (fa + fb) * (b - a)
     return acc
+
+
+def naive_presmooth(t_obs, y_obs, h_d, grid, kernel="epanechnikov"):
+    """Per-subject local-quadratic fit: (values, derivatives) at every grid point.
+
+    Each point solves its own 3x3 normal equations by Gaussian elimination
+    with partial pivoting; sums are exact-rounded with math.fsum.
+    """
+    k = KERNELS[kernel][0]
+    values, slopes = [], []
+    for g in grid:
+        x = [(t - g) / h_d for t in t_obs]
+        w = [k(u) for u in x]
+        s = [math.fsum(wj * xj**p for wj, xj in zip(w, x)) for p in range(5)]
+        r = [math.fsum(wj * xj**p * yj for wj, xj, yj in zip(w, x, y_obs)) for p in range(3)]
+        a = [[s[i + j] for j in range(3)] + [r[i]] for i in range(3)]
+        for col in range(3):
+            piv = max(range(col, 3), key=lambda i: abs(a[i][col]))
+            a[col], a[piv] = a[piv], a[col]
+            for i in range(col + 1, 3):
+                f = a[i][col] / a[col][col]
+                a[i] = [aij - f * acj for aij, acj in zip(a[i], a[col])]
+        beta = [0.0] * 3
+        for i in (2, 1, 0):
+            beta[i] = (a[i][3] - sum(a[i][j] * beta[j] for j in range(i + 1, 3))) / a[i][i]
+        values.append(beta[0])
+        slopes.append(beta[1] / h_d)
+    return values, slopes
+
+
+# CSV output written one row at a time, as the command-line writer did first.
+
+def csv_field(text: str) -> str:
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def fmt(x) -> str:
+    return repr(float(x))
+
+
+def csv_text(header, rows) -> str:
+    return "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
+
+
+def naive_ranks_csv(sets) -> str:
+    rows = []
+    for rk in sets:
+        for i, sid in enumerate(rk.ids):
+            for g, t in enumerate(rk.eval_grid):
+                rank = min(1.0, max(0.0, rk.ranks[i, g]))
+                rows.append([csv_field(sid), fmt(t), fmt(rank), rk.method])
+    return csv_text(["id", "t", "rank", "method"], rows)
+
+
+def naive_decomposition_csv(dec) -> str:
+    rows = []
+    for i, sid in enumerate(dec.ids):
+        for g, t in enumerate(dec.trimmed_grid):
+            rows.append(
+                [csv_field(sid), fmt(t), fmt(dec.c1[i, g]), fmt(dec.c2[i, g]), fmt(dec.rprime[i, g])]
+            )
+    return csv_text(["id", "t", "c1", "c2", "rprime"], rows)
+
+
+def naive_subject_summaries_csv(subs) -> str:
+    rows = [[csv_field(s.id), fmt(s.rho), fmt(s.nu), fmt(s.zeta), fmt(s.eta)] for s in subs]
+    return csv_text(["id", "rho", "nu", "zeta", "eta"], rows)

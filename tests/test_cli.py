@@ -5,7 +5,13 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from rankdyn import cli
 from rankdyn.cli import main
+from rankdyn.dynamics import DecompositionResult, decompose
+from rankdyn.ranks import Bandwidths, RankTrajectories, empirical_ranks, smooth_ranks
+from rankdyn.sample import default_presmooth_bandwidth, load_long_csv, presmooth
+from rankdyn.summaries import SubjectSummary, subject_summaries
+from reference import naive_decomposition_csv, naive_ranks_csv, naive_subject_summaries_csv
 
 
 @pytest.fixture()
@@ -178,17 +184,25 @@ class TestSimulateCommand:
         assert len(rows) == 1
 
 
-def test_ids_with_comma_and_quote_round_trip(tmp_path):
+ODD_IDS = ["a,b", 'q"x', "plain", "p2", "p3", "p4"]
+
+
+@pytest.fixture()
+def odd_ids_csv(tmp_path):
     rng = np.random.default_rng(8)
-    ids = ["a,b", 'q"x', "plain", "p2", "p3", "p4"]
     path = tmp_path / "odd_ids.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "time", "value"])
-        for sid in ids:
+        for sid in ODD_IDS:
             c = rng.normal()
             for t in np.linspace(0, 1, 41):
                 writer.writerow([sid, repr(float(t)), repr(float(c + np.sin(2 * np.pi * t)))])
+    return path
+
+
+def test_ids_with_comma_and_quote_round_trip(odd_ids_csv, tmp_path):
+    path, ids = odd_ids_csv, ODD_IDS
     bw = ["--h-y", "0.8", "--h-t", "0.2"]
     for command, name in [("ranks", "ranks.csv"), ("decompose", "decomposition.csv"),
                           ("summaries", "subject_summaries.csv")]:
@@ -198,6 +212,66 @@ def test_ids_with_comma_and_quote_round_trip(tmp_path):
             header, *rows = list(csv.reader(fh))
         assert all(len(r) == len(header) for r in rows)
         assert {r[0] for r in rows} == set(ids)
+
+
+class TestWriterMatchesRowByRowOracle:
+    """The column-wise CSV writer against the row-at-a-time formatting in reference.py."""
+
+    IDS = ["a,b", 'q"x', "plain"]
+    THIRD = 1.0 / 3.0  # needs 17 significant digits
+
+    def _check(self, path, expected):
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_ranks_both_methods(self, tmp_path):
+        third = self.THIRD
+        empirical = RankTrajectories(
+            self.IDS, [0.0, 0.1 + 0.2, 1.0],
+            [[-0.0, third, 2 * third], [0.0, 2 * third, third], [third, 0.0, 1.0]],
+            "empirical",
+        )
+        smooth = RankTrajectories(
+            self.IDS, [0.30000000000000004, 0.7],
+            [[0.12345678901234568, -1e-12], [1 + 1e-12, 0.5], [-0.0, 0.9999999999999999]],
+            "smooth",
+        )
+        cli._write_ranks(tmp_path / "ranks.csv", [empirical, smooth])
+        self._check(tmp_path / "ranks.csv", naive_ranks_csv([empirical, smooth]))
+        text = (tmp_path / "ranks.csv").read_text()
+        assert "-0.0" not in text and "1.000000000001" not in text
+        assert '"a,b",0.30000000000000004,0.3333333333333333,empirical' in text
+
+    def test_decomposition(self, tmp_path):
+        c1 = np.array([[self.THIRD, -0.0, 1e-300], [1.2345678901234567e20, -2.5, 0.1 + 0.2],
+                       [0.0, 7.0, -self.THIRD]])
+        c2 = np.array([[-self.THIRD, 0.0, 5e-324], [1.0, 2.0 / 3.0, -0.1], [1e-17, -7.0, 0.5]])
+        dec = DecompositionResult(self.IDS, [0.2, 0.5, 0.8], c1, c2, c1 + c2)
+        cli._write_decomposition(tmp_path / "decomposition.csv", dec)
+        self._check(tmp_path / "decomposition.csv", naive_decomposition_csv(dec))
+
+    def test_subject_summaries(self, tmp_path):
+        subs = [SubjectSummary(sid, self.THIRD * k, 0.1 + 0.2, -0.0, 1e-17 * k)
+                for k, sid in enumerate(self.IDS)]
+        cli._write_subject_summaries(tmp_path / "subject_summaries.csv", subs)
+        self._check(tmp_path / "subject_summaries.csv", naive_subject_summaries_csv(subs))
+
+    def test_commands_write_what_the_oracle_formats(self, odd_ids_csv, tmp_path):
+        bw = Bandwidths(0.8, 0.2)
+        sample = load_long_csv(odd_ids_csv)
+        smoothed = presmooth(sample, h_d=default_presmooth_bandwidth(sample))
+        dec = decompose(sample, smoothed, bw, trim=bw.h_t)
+        sets = [empirical_ranks(smoothed), smooth_ranks(smoothed, bw)]
+        expected = {
+            "ranks": ("ranks.csv", naive_ranks_csv(sets)),
+            "decompose": ("decomposition.csv", naive_decomposition_csv(dec)),
+            "summaries": ("subject_summaries.csv",
+                          naive_subject_summaries_csv(subject_summaries(sets[1], dec))),
+        }
+        for command, (name, text) in expected.items():
+            out = tmp_path / command
+            args = [command, "--input", str(odd_ids_csv), "--out", str(out), "--h-y", "0.8", "--h-t", "0.2"]
+            assert main(args) == 0
+            self._check(out / name, text)
 
 
 @pytest.mark.parametrize(

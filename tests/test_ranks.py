@@ -11,6 +11,7 @@ from rankdyn.errors import (
 )
 from rankdyn.ranks import (
     Bandwidths,
+    RankTrajectories,
     default_bandwidths,
     empirical_ranks,
     smooth_cdf,
@@ -35,6 +36,12 @@ class TestBandwidths:
         rate = 50 ** (-0.25)
         assert bw.h_t == pytest.approx(0.3 * rate)
         assert bw.h_y == pytest.approx(pooled_std(sim50.sample) * rate)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_ranks_rejected(bad):
+    with pytest.raises(DataError, match="finite"):
+        RankTrajectories(["a", "b"], [0, 1], [[0.5, bad], [0.5, 0.5]], "empirical")
 
 
 class TestEmpiricalRanks:

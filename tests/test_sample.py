@@ -18,6 +18,7 @@ from rankdyn.sample import (
     pooled_std,
     presmooth,
 )
+from reference import naive_presmooth
 
 
 def _csv(text: str):
@@ -74,6 +75,49 @@ class TestLoadLongCsv:
         s = load_long_csv(raw)
         assert s.n == 1 and s.values[0].tolist() == [1.0, 2.0]
 
+    def test_first_bad_record_wins_over_a_later_one(self):
+        # a bad value on record 3 comes before the wrong column count on record 5
+        text = "id,time,value\na,0.1,1.0\na,0.5,oops\na,0.9,3.0\nb,0.5\n"
+        with pytest.raises(CsvFormatError, match="line 3: cannot parse value"):
+            load_long_csv(_csv(text))
+
+    def test_record_numbers_count_blank_records(self):
+        text = "id,time,value\n\na,0.1,1.0\n\na,0.5,inf\n"
+        with pytest.raises(CsvFormatError, match="line 5: non-finite value"):
+            load_long_csv(_csv(text))
+
+    def test_checks_within_a_record_run_in_field_order(self):
+        # empty id before a bad time; a bad value before a time outside [0, 1]
+        with pytest.raises(CsvFormatError, match="line 3: empty subject id"):
+            load_long_csv(_csv("id,time,value\na,0.1,1\n ,zero,1\na,zero,1\n"))
+        with pytest.raises(CsvFormatError, match="line 2: cannot parse value"):
+            load_long_csv(_csv("id,time,value\na,1.5,x\n"))
+        with pytest.raises(DomainError, match="line 2: time 1.5"):
+            load_long_csv(_csv("id,time,value\na,1.5,1\na,0.5,x\n"))
+
+    def test_record_errors_come_before_duplicates(self):
+        text = "id,time,value\na,0.5,1.0\na,0.5,2.0\nb,0.5,nan\n"
+        with pytest.raises(CsvFormatError, match="line 4"):
+            load_long_csv(_csv(text))
+
+    def test_duplicate_names_the_first_subject_in_file_order(self):
+        text = "id,time,value\nb,0.25,1\na,0.5,1\na,0.5,2\nb,0.25,3\n"
+        with pytest.raises(DuplicateTimeError, match="'b'"):
+            load_long_csv(_csv(text))
+
+    def test_python_float_syntax_is_accepted(self):
+        s = load_long_csv(_csv("id,time,value\na, 0.25 ,1_0\na,7.5e-1, 2.5 \n"))
+        assert s.times[0].tolist() == [0.25, 0.75]
+        assert s.values[0].tolist() == [10.0, 2.5]
+
+    def test_mixed_grids_are_split_per_subject(self):
+        text = "id,time,value\nb,0.75,4\na,0.5,1\nb,0.25,3\na,0.1,0\na,0.9,2\n"
+        s = load_long_csv(_csv(text))
+        assert s.ids == ["b", "a"]
+        assert s.times[0].tolist() == [0.25, 0.75] and s.values[0].tolist() == [3.0, 4.0]
+        assert s.times[1].tolist() == [0.1, 0.5, 0.9] and s.values[1].tolist() == [0.0, 1.0, 2.0]
+        assert s.shared_grid is None
+
 
 def test_load_wide_matches_long():
     wide = load_wide_csv(_csv("time,a,b\n0.25,1.0,4.0\n0.75,2.0,5.0\n"))
@@ -102,6 +146,21 @@ class TestGridValidation:
     def test_nonfinite_value_rejected(self):
         with pytest.raises(DataError, match="non-finite"):
             FunctionalSample(["a"], [np.array([0.25, 0.75])], [np.array([1.0, np.inf])])
+
+    def test_first_bad_subject_is_named(self):
+        fine, sparse = np.linspace(0, 1, 11), np.array([0.1, 0.2, 0.9])
+        ids = ["a", "b", "c", "d"]
+        values = [np.zeros(11), np.zeros(3), np.zeros(11), np.full(11, np.nan)]
+        # b's grid fails before d's values
+        with pytest.raises(DomainError, match="'b'"):
+            FunctionalSample(ids, [fine, sparse, fine, fine], values)
+        # c's values fail before e's grid, which is checked once, for its first subject
+        values = [np.zeros(11), np.zeros(11), np.full(11, np.nan), np.zeros(3), np.zeros(3)]
+        with pytest.raises(DataError, match="'c' has non-finite"):
+            FunctionalSample(ids + ["e"], [fine, fine, fine, sparse, sparse], values)
+        # a subject's values are checked before its grid
+        with pytest.raises(DataError, match="'a' has non-finite"):
+            FunctionalSample(["a"], [sparse], [np.full(3, np.inf)])
 
     def test_shared_grid_detection(self):
         g = np.linspace(0, 1, 11)
@@ -180,7 +239,18 @@ class TestPresmooth:
         g = np.array([0.2, 0.5, 0.8])
         s = FunctionalSample(["solo"], [g], [np.zeros(3)])
         with pytest.raises(InsufficientDataError, match="solo"):
-            presmooth(s, h_d=0.12)
+            presmooth(s, h_d=0.15)
+
+    def test_first_subject_on_a_failing_grid_is_named(self):
+        # "first" and "second" share a too-sparse grid; "third" has one of its own
+        fine, sparse = np.linspace(0, 1, 41), np.array([0.2, 0.5, 0.8])
+        s = FunctionalSample(
+            ["ok", "first", "ok2", "second", "third"],
+            [fine, sparse, fine, sparse, np.array([0.25, 0.5, 0.75])],
+            [np.zeros(41), np.zeros(3), np.ones(41), np.ones(3), np.ones(3)],
+        )
+        with pytest.raises(InsufficientDataError, match="subject 'first'"):
+            presmooth(s, h_d=0.15)
 
     def test_parameter_validation(self):
         g = np.linspace(0, 1, 11)
@@ -194,6 +264,40 @@ class TestPresmooth:
         g = np.linspace(0, 1, 11)
         s = FunctionalSample.from_matrix(g, np.zeros((1, 11)))
         assert default_presmooth_bandwidth(s) == pytest.approx(max(0.15, 3 / 11))
+
+
+def _assert_matches_naive(sample, h_d, eval_grid_size=41):
+    sm = presmooth(sample, h_d=h_d, eval_grid_size=eval_grid_size)
+    for i, (t, y) in enumerate(zip(sample.times, sample.values)):
+        values, slopes = naive_presmooth(t.tolist(), y.tolist(), h_d, sm.eval_grid.tolist())
+        assert np.max(np.abs(sm.values[i] - values)) <= 1e-12
+        assert np.max(np.abs(sm.derivatives[i] - slopes)) <= 1e-10
+
+
+def _ragged_grid(rng, m):
+    return np.sort((np.arange(m) + rng.uniform(0.05, 0.95, m)) / m)
+
+
+class TestPresmoothMatchesNaive:
+    def test_shared_grid(self):
+        rng = np.random.default_rng(11)
+        g = np.linspace(0, 1, 31)
+        y = rng.normal(size=(6, 1)) + np.sin(2 * np.pi * g) + 0.2 * rng.normal(size=(6, 31))
+        _assert_matches_naive(FunctionalSample.from_matrix(g, y), h_d=0.15)
+
+    def test_ragged_sample(self):
+        rng = np.random.default_rng(12)
+        times = [_ragged_grid(rng, m) for m in (25, 31, 40, 28)]
+        values = [np.cos(3 * t) + 0.2 * rng.normal(size=t.size) for t in times]
+        _assert_matches_naive(FunctionalSample(list("abcd"), times, values), h_d=0.15)
+
+    def test_mixed_sample(self):
+        # subjects 1, 3 and 4 share one grid among subjects on grids of their own
+        rng = np.random.default_rng(13)
+        shared = _ragged_grid(rng, 30)
+        times = [_ragged_grid(rng, 27), shared, _ragged_grid(rng, 35), shared.copy(), shared.copy()]
+        values = [rng.normal(size=t.size) for t in times]
+        _assert_matches_naive(FunctionalSample(list("abcde"), times, values), h_d=0.15)
 
 
 def test_pooled_std():
