@@ -51,7 +51,6 @@ from .simulation import (
     MonteCarloRow,
     SimModel,
     SimSample,
-    basis_eval,
     generate_sample,
     mise,
     model_pooled_std,

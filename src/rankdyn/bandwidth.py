@@ -15,22 +15,25 @@ serves shared and ragged grids alike.  Subjects are held as padded rows,
 and the leave-out cdf is (all-subject sums - own sums) / (all mass - own
 mass).
 
-The sorted distinct interior times are walked in consecutive blocks.  A
-block ends before a time that would score one of its subjects a second
-time, and after as many times as the longest subject has observations;
-both limits come from the data.  On a shared grid every subject is scored
-at every time, so each block is one time; on a ragged grid a block holds
-many.  Per h_y and block, every subject's widest-h_t window over the
-block is gathered once and H is evaluated once on it, as an (n, w, 201)
-tensor.  The time weights of all pairs with that h_y at all block times
-form a (pairs, B, n, w) tensor; one matmul gives the all-subject sums at
-every block time, and one batched matmul gives each scored subject's own
-sums from its weights at the time where it is scored.  Batching the pairs
-reads the H tensor twice per block instead of twice per pair.
+H, the kernel cdf in y, is evaluated once per h_y: for every padded
+observation at every point of the y-grid, into an (n, m_max, 201) buffer.
+The time weights K((t - t_k)/h_t) / m_i are exactly 0 outside
+|t - t_k| <= h_t and on the padding at t = 2, so they select each time's
+window; there is no window gather.  The sorted distinct interior times are
+walked in consecutive blocks.  A block ends before a time that would score
+one of its subjects a second time, and after as many times as the longest
+subject has observations; both limits come from the data.  On a shared grid
+every subject is scored at every time, so each block is one time; on a
+ragged grid a block holds many.  The time weights of all pairs sharing an
+h_y, at all B block times, form a (pairs, B, n, m_max) tensor; one
+matmul against H gives the all-subject sums at every block time, and one
+batched matmul gives each scored subject's own sums from its weights at the
+time where it is scored.
 
-Memory: no array grows as n^2.  Each subject is scored at most once per
-block, so own sums are (n, pairs, 201), and B is bounded by the largest
-m_i, so the weights are O(n m^2) per pair.
+Memory: H and its argument are two (n, m_max, 201) buffers, allocated once
+per call and reused for every h_y.  No array grows as n^2: each subject is
+scored at most once per block, so own sums are (n, pairs, 201), and B is
+bounded by m_max, so the weights are O(n m_max^2) per pair.
 """
 
 from __future__ import annotations
@@ -179,13 +182,11 @@ def _cv_values(
     if not 0 < h_max < 0.5:
         raise DomainError(f"h_max must lie in (0, 0.5), got {h_max!r}")
     # Padded rows of time, value and weight 1/m_i.  Padding sits at t = 2,
-    # outside every kernel window (h_t < 0.5), with weight 0; the extra
-    # all-padding column lets every row give a slice as wide as the widest.
+    # outside every kernel window (h_t < 0.5), so its time weights are 0.
     m_max = max(t.size for t in sample.times)
-    width = m_max + 1
-    times = np.full((sample.n, width), 2.0)
-    vals = np.zeros((sample.n, width))
-    wts = np.zeros((sample.n, width))
+    times = np.full((sample.n, m_max), 2.0)
+    vals = np.zeros((sample.n, m_max))
+    wts = np.zeros((sample.n, m_max))
     for i, (t, v) in enumerate(zip(sample.times, sample.values)):
         times[i, : t.size] = t
         vals[i, : t.size] = v
@@ -206,20 +207,22 @@ def _cv_values(
 
     allv = np.concatenate(sample.values)
     totals = [0.0] * len(pairs)
+    # H of every padded observation, and its argument, reused for every h_y
+    arg = np.empty((sample.n, m_max, _Y_GRID_SIZE))
+    hu = np.empty_like(arg)
     for h_y, idxs in groups.items():
         ygrid = np.linspace(allv.min() - h_y, allv.max() + h_y, _Y_GRID_SIZE)
+        np.subtract(ygrid, vals[:, :, None], out=arg)
+        arg /= h_y
+        kernel.cdf(arg, out=hu)
         h_ts = np.array([pairs[i].h_t for i in idxs])
-        ht_max = h_ts.max()
         for s, e in zip(starts[:-1], starts[1:]):
             tb = interior[s:e]
-            # each row's widest-h_t windows over the block are the slice [lo, hi)
-            lo = np.count_nonzero(times < tb[0] - ht_max, axis=1)
-            hi = np.count_nonzero(times <= tb[-1] + ht_max, axis=1)
-            cols = np.minimum(lo[:, None] + np.arange((hi - lo).max()), width - 1)
-            twin, vwin, wwin = (np.take_along_axis(x, cols, axis=1) for x in (times, vals, wts))
-            hu = kernel.cdf((ygrid - vwin[:, :, None]) / h_y)  # (n, w, Gy)
-            # time weights of every pair at every block time, (P, B, n, w)
-            a = kernel.density((tb[:, None, None] - twin) / h_ts[:, None, None, None]) * wwin
+            # time weights of every pair at every block time, (P, B, n, m_max);
+            # the argument is clipped in place and dropped
+            a = (tb[:, None, None] - times) / h_ts[:, None, None, None]
+            a = kernel.density(a, out=np.empty_like(a))
+            a *= wts
             p, b, n, w = a.shape
             full = (a.reshape(p * b, -1) @ hu.reshape(-1, _Y_GRID_SIZE)).reshape(p, b, -1)
             # the block's scored observations: subject bi at block time bk, each subject once
@@ -239,10 +242,6 @@ def _cv_values(
                     )
                 f_loo = (full[q, bk] - own[bi, q]) / denom[q, :, None]
                 totals[idx] += float(_sq_error_integrals(ygrid, f_loo.T, jumps[sel]).sum())
-            # drop the weights and sums before the next block's H tensor is built,
-            # which sets peak memory; H is kept: freeing it too lets the allocator
-            # return the heap to the system, and each block then faults it back in
-            del a, full, own
     return totals
 
 

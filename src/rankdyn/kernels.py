@@ -17,22 +17,47 @@ import numpy as np
 __all__ = ["Kernel", "Epanechnikov", "Biweight", "EPANECHNIKOV", "BIWEIGHT", "get_kernel"]
 
 
+def _horner(coeffs: tuple, u, out=None, zero_at_edges: bool = False):
+    """sum_p coeffs[p] x^p at x = u clipped to [-1, 1], by Horner's rule.
+
+    Without ``out`` the result is a new array, or a float for scalar ``u``.
+    With ``out``, ``u`` must be a float array of the same shape: it is
+    clipped in place and the result is written into ``out``, so nothing is
+    allocated.  ``zero_at_edges`` sets the value at |u| >= 1 to 0.
+    """
+    if out is None:
+        u = np.clip(np.asarray(u, dtype=float), -1.0, 1.0)
+        out = np.empty_like(u)
+    else:
+        np.clip(u, -1.0, 1.0, out=u)
+    out.fill(coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out *= u
+        out += c
+    if zero_at_edges:
+        out[np.abs(u) == 1.0] = 0.0
+    return out if out.ndim else float(out)
+
+
 class Kernel:
-    """Symmetric density on [-1, 1] with exact cdf and derivative.
+    """Symmetric density K on [-1, 1], given by its polynomial coefficients.
 
-    Subclasses implement the three pointwise maps; the second moment
-    sigma^2(K) = int x^2 K(x) dx is a fixed attribute.  Because the cdf is
-    the exact antiderivative of the density, the second moments of K and of
-    H' coincide by construction.
+    ``density_coeffs`` holds the ascending-power coefficients of K on
+    [-1, 1], and it is the kernel's only description.  The cdf H (with
+    H(-1) = 0) and the derivative K' follow by integrating and
+    differentiating the polynomial, and so does the second moment
+    sigma^2(K) = int x^2 K(x) dx.  The pointwise maps clip their argument to
+    [-1, 1] and run Horner's rule, so K and K' vanish and H saturates at 0
+    and 1 exactly at and beyond the support edges, given coefficients whose
+    sums there are exact (dyadic rationals are).  The kernel-sum engine
+    expands the same polynomials instead of evaluating the pointwise maps.
 
-    On [-1, 1] both K and H are polynomials.  ``density_coeffs`` holds the
-    ascending-power coefficients of K; those of H follow by integration
-    (``cdf_coeffs``).  The kernel-sum engine expands these polynomials
-    instead of evaluating the pointwise maps.
+    Every map takes an optional ``out`` array: the result is written into
+    it, and the argument, which must then be a float array, is clipped in
+    place.
     """
 
     name: str = ""
-    second_moment: float = float("nan")
     density_coeffs: tuple = ()
 
     @property
@@ -40,17 +65,23 @@ class Kernel:
         """Ascending-power coefficients of H on [-1, 1]: 1/2 + int_0^u K."""
         return (0.5,) + tuple(c / (p + 1) for p, c in enumerate(self.density_coeffs))
 
-    def density(self, u):
+    @property
+    def second_moment(self) -> float:
+        """int_{-1}^{1} x^2 K(x) dx; only even powers of x contribute."""
+        return sum(2.0 * c / (p + 3) for p, c in enumerate(self.density_coeffs) if p % 2 == 0)
+
+    def density(self, u, out=None):
         """K(u); zero outside [-1, 1]."""
-        raise NotImplementedError
+        return _horner(self.density_coeffs, u, out)
 
-    def cdf(self, u):
+    def cdf(self, u, out=None):
         """H(u) = integral of K up to u; 0 below -1, 1 above 1."""
-        raise NotImplementedError
+        return _horner(self.cdf_coeffs, u, out)
 
-    def density_deriv(self, u):
+    def density_deriv(self, u, out=None):
         """K'(u); zero outside (-1, 1), including at the support edges."""
-        raise NotImplementedError
+        coeffs = tuple(p * c for p, c in enumerate(self.density_coeffs))[1:]
+        return _horner(coeffs, u, out, zero_at_edges=True)
 
     def __repr__(self):
         return f"{type(self).__name__}()"
@@ -60,45 +91,14 @@ class Epanechnikov(Kernel):
     """K(u) = 0.75 (1 - u^2) on [-1, 1]."""
 
     name = "epanechnikov"
-    second_moment = 0.2
     density_coeffs = (0.75, 0.0, -0.75)
-
-    def density(self, u):
-        u = np.clip(u, -1.0, 1.0)
-        return 0.75 * (1.0 - u * u)
-
-    def cdf(self, u):
-        u = np.clip(u, -1.0, 1.0)
-        return 0.5 + u * (0.75 - 0.25 * u * u)
-
-    def density_deriv(self, u):
-        u = np.asarray(u, dtype=float)
-        out = np.where(np.abs(u) < 1.0, -1.5 * u, 0.0)
-        return out if out.ndim else float(out)
 
 
 class Biweight(Kernel):
     """K(u) = (15/16) (1 - u^2)^2 on [-1, 1]."""
 
     name = "biweight"
-    second_moment = 1.0 / 7.0
     density_coeffs = (0.9375, 0.0, -1.875, 0.0, 0.9375)
-
-    def density(self, u):
-        u = np.clip(u, -1.0, 1.0)
-        s = 1.0 - u * u
-        return 0.9375 * s * s
-
-    def cdf(self, u):
-        # grouped with integer coefficients so the support edges give exactly 0 and 1
-        u = np.clip(u, -1.0, 1.0)
-        u2 = u * u
-        return 0.5 + u * (15.0 - u2 * (10.0 - 3.0 * u2)) / 16.0
-
-    def density_deriv(self, u):
-        # K'(u) = -(15/4) u (1 - u^2); already 0 at |u| = 1, so clipping is safe
-        u = np.clip(u, -1.0, 1.0)
-        return -3.75 * u * (1.0 - u * u)
 
 
 EPANECHNIKOV = Epanechnikov()

@@ -18,7 +18,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .bandwidth import BandwidthGrid, select_bandwidths
 from .dynamics import DecompositionResult, decompose_many
@@ -31,7 +30,6 @@ from .summaries import time_average
 __all__ = [
     "SimModel",
     "SimSample",
-    "basis_eval",
     "basis_matrix",
     "generate_sample",
     "true_values",
@@ -78,7 +76,11 @@ class SimModel:
 
 
 def basis_matrix(t):
-    """(psi, dpsi), each (..., 5), for all five basis curves at once."""
+    """(psi, dpsi), each (..., 5), for all five basis curves at once.
+
+    The first basis curve has a kink where its indicator switches on; the
+    derivative there is 0 (both one-sided limits of the squared term are).
+    """
     t = np.asarray(t, dtype=float)
     up = (t > 0.5).astype(float)
     psi1 = 6.0 * (t - 0.5) ** 2 * up
@@ -98,18 +100,6 @@ def basis_matrix(t):
     psi = np.stack([psi1, psi2, psi3, psi4, psi5], axis=-1)
     dpsi = np.stack([dpsi1, dpsi2, dpsi3, dpsi4, dpsi5], axis=-1)
     return psi, dpsi
-
-
-def basis_eval(k: int, t):
-    """(psi_k(t), psi_k'(t)) for k in 1..5.
-
-    The first basis curve has a kink where its indicator switches on; the
-    derivative there is 0 (both one-sided limits of the squared term are).
-    """
-    if not 1 <= int(k) <= 5:
-        raise DomainError(f"basis index must be in 1..5, got {k!r}")
-    psi, dpsi = basis_matrix(t)
-    return psi[..., k - 1], dpsi[..., k - 1]
 
 
 @dataclass
@@ -143,6 +133,9 @@ def true_values(model: SimModel, xi, t):
     xi may be (5,) or (n, 5); t may be a scalar or (T,).  Outputs broadcast
     to (n, T) and are squeezed back for scalar-style inputs.
     """
+    # imported here: scipy.special would double the import time of rankdyn.cli
+    from scipy.special import ndtr
+
     xi_arr = np.atleast_2d(np.asarray(xi, dtype=float))
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     psi, dpsi = basis_matrix(t_arr)             # (T, 5)
@@ -238,20 +231,6 @@ class MonteCarloReport:
             "nu": float(np.median([r.err_nu for r in rows])),
             "zeta": float(np.median([r.err_zeta for r in rows])),
         }
-
-
-_REPORT_COLUMNS = [
-    "run",
-    "n",
-    "h_y_cv",
-    "h_t_cv",
-    "h_y_opt",
-    "h_t_opt",
-    "mise_c1_cv",
-    "mise_c2_cv",
-    "mise_c1_opt",
-    "mise_c2_opt",
-]
 
 
 def _run_one(

@@ -140,6 +140,26 @@ class TestCvObjective:
         )
         assert ours == pytest.approx(ref, rel=1e-3)
 
+    def test_heavily_padded_ragged_grids_match_bruteforce(self):
+        # c has three times the others' observations, so a and b are mostly
+        # padding; b's 0.75 lies exactly h_t from a's scored time 0.5
+        times = [
+            np.array([0.1, 0.3, 0.5, 0.9]),
+            np.array([0.05, 0.4, 0.75, 0.95]),
+            np.linspace(0.02, 0.98, 12),
+        ]
+        values = [
+            np.array([0.3, 0.8, 1.2, 1.0]),
+            np.array([1.5, 1.1, 0.6, 0.2]),
+            np.cos(np.linspace(0.0, 3.0, 12)),
+        ]
+        s = FunctionalSample(["a", "b", "c"], times, values)
+        ours = cv_objective(s, Bandwidths(0.9, 0.25), h_max=0.25)
+        ref = naive_cv_objective(
+            [list(t) for t in times], [list(v) for v in values], 0.9, 0.25, 0.25
+        )
+        assert ours == pytest.approx(ref, rel=1e-3)
+
     def test_ragged_without_interior_observation_rejected(self):
         s = FunctionalSample(
             ["a", "b"],
@@ -220,7 +240,8 @@ class TestSelectBandwidths:
 
 
 def test_memory_grows_linearly_in_subjects():
-    # kernel tensors are (n, window, y-grid) per block; nothing may grow as n^2
+    # H and its argument are two (n, m_max, y-grid) buffers per call, and the
+    # per-block weights and own sums are O(n); nothing may grow as n^2
     peaks = []
     for n in (60, 240):
         sample = ragged_sample(n, seed=n)
@@ -232,3 +253,17 @@ def test_memory_grows_linearly_in_subjects():
         finally:
             tracemalloc.stop()
     assert peaks[1] / peaks[0] <= 5.0
+
+
+def test_peak_memory_is_two_kernel_cdf_buffers(sim200):
+    # one (n, m_max, y-grid) buffer each for H and its argument, allocated
+    # once per call; a fresh H per h_y or per block would exceed the bound
+    sample = sim200.sample
+    one = sample.n * max(t.size for t in sample.times) * 201 * 8
+    tracemalloc.start()
+    try:
+        select_bandwidths(sample, BandwidthGrid.geometric())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * one

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rankdyn
 from rankdyn import cli
 from rankdyn.cli import main
 from rankdyn.dynamics import DecompositionResult, decompose
@@ -339,3 +344,14 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"h_yy": 0.8}))
         assert main(["decompose", "--input", str(data_csv), "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # only the simulation's closed-form truths use scipy, and importing it
+    # would double the start-up time of every command
+    src = str(Path(rankdyn.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, rankdyn.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

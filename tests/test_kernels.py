@@ -106,3 +106,39 @@ def test_polynomial_coefficients_match_pointwise_maps():
     for k in KERNELS:
         assert np.allclose(polyval(x, k.density_coeffs), k.density(x), rtol=0, atol=1e-15)
         assert np.allclose(polyval(x, k.cdf_coeffs), k.cdf(x), rtol=0, atol=1e-15)
+
+
+EDGES = np.array([-5.0, -1.0 - 1e-12, -1.0, 1.0, 1.0 + 1e-12, 5.0])
+
+
+@pytest.mark.parametrize("k", KERNELS, ids=lambda k: k.name)
+def test_exact_values_at_and_beyond_the_support_edges(k):
+    saturated = np.where(EDGES > 0, 1.0, 0.0)
+    for u, h in zip(EDGES, saturated):
+        assert k.density(u) == 0.0 and k.density_deriv(u) == 0.0 and k.cdf(u) == h
+    assert np.all(k.density(EDGES) == 0.0)
+    assert np.all(k.density_deriv(EDGES) == 0.0)
+    assert np.array_equal(k.cdf(EDGES), saturated)
+
+
+@pytest.mark.parametrize("k", KERNELS, ids=lambda k: k.name)
+def test_scalar_input_returns_float(k):
+    for u in (0.3, -1.0, 5.0, np.float64(0.3)):
+        for f in (k.density, k.cdf, k.density_deriv):
+            assert type(f(u)) is float
+
+
+@pytest.mark.parametrize("k", KERNELS, ids=lambda k: k.name)
+def test_out_receives_the_values_and_the_argument_is_clipped(k):
+    u = np.concatenate([EDGES, np.linspace(-0.99, 0.99, 7)])
+    for f in (k.density, k.cdf, k.density_deriv):
+        expected = f(u)
+        arg, out = u.copy(), np.empty_like(u)
+        assert f(arg, out=out) is out
+        assert np.array_equal(out, expected)
+        assert np.array_equal(arg, np.clip(u, -1.0, 1.0))
+
+
+def test_second_moment_is_derived_from_the_coefficients():
+    assert EPANECHNIKOV.second_moment == pytest.approx(1.0 / 5.0, rel=0, abs=1e-15)
+    assert BIWEIGHT.second_moment == pytest.approx(1.0 / 7.0, rel=0, abs=1e-15)

@@ -1,11 +1,18 @@
-"""Property tests: empirical ranks depend only on the order of the values at each time."""
+"""Property tests: rank invariances and the paper's summary identities."""
+
+import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rankdyn.ranks import empirical_ranks
+from rankdyn.dynamics import DecompositionResult, contributions
+from rankdyn.ranks import Bandwidths, empirical_ranks, smooth_ranks
 from rankdyn.sample import FunctionalSample
+from rankdyn.summaries import population_summaries
+
+FINITE = st.floats(-5.0, 5.0, allow_nan=False)
 
 
 @st.composite
@@ -45,3 +52,52 @@ def test_empirical_ranks_invariant_under_increasing_transform(sample, name):
     base = empirical_ranks(FunctionalSample.from_matrix(grid, values))
     warped = empirical_ranks(FunctionalSample.from_matrix(grid, transform(values)))
     assert np.array_equal(warped.ranks, base.ranks)
+
+
+@st.composite
+def decompositions(draw):
+    """A DecompositionResult with arbitrary components on an increasing grid."""
+    n = draw(st.integers(1, 6))
+    g = draw(st.integers(2, 8))
+    grid = np.sort(draw(st.lists(st.floats(0.0, 1.0), min_size=g, max_size=g, unique=True)))
+    c1, c2 = (np.array(draw(st.lists(FINITE, min_size=n * g, max_size=n * g))).reshape(n, g)
+              for _ in range(2))
+    return DecompositionResult([f"s{i}" for i in range(n)], grid, c1, c2, c1 + c2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(decompositions())
+def test_contributions_sum_to_one(decomp):
+    grid = decomp.trimmed_grid
+    total = sum(np.trapezoid(np.mean(np.abs(c), axis=0), grid) for c in (decomp.c1, decomp.c2))
+    assume(total > 1e-12)
+    lam = contributions(decomp)
+    assert 0.0 <= lam.lambda1 <= 1.0 and 0.0 <= lam.lambda2 <= 1.0
+    assert lam.lambda1 + lam.lambda2 == pytest.approx(1.0, rel=0, abs=1e-15)
+
+
+@settings(max_examples=80, deadline=None)
+@given(decompositions())
+def test_stability_is_exp_of_minus_mixing(decomp):
+    pop = population_summaries(decomp)
+    assert pop.mixing >= 0.0
+    assert pop.stability == math.exp(-pop.mixing)
+    assert 0.0 <= pop.stability <= 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(3, 8).flatmap(lambda n: st.lists(
+        st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=11, max_size=11),
+        min_size=n, max_size=n)),
+    st.floats(-5.0, 5.0, allow_nan=False),
+    st.floats(0.25, 4.0, allow_nan=False),
+)
+def test_smooth_ranks_equivariant_under_increasing_affine_maps(values, a, b):
+    # H((y_q - y_k)/h_y) is unchanged when y -> a + b y and h_y -> b h_y
+    grid = np.linspace(0.0, 1.0, 11)
+    values = np.array(values)
+    base = smooth_ranks(FunctionalSample.from_matrix(grid, values), Bandwidths(0.8, 0.25))
+    moved = smooth_ranks(FunctionalSample.from_matrix(grid, a + b * values),
+                         Bandwidths(0.8 * b, 0.25))
+    assert np.max(np.abs(moved.ranks - base.ranks)) <= 1e-12

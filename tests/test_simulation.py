@@ -8,7 +8,6 @@ from rankdyn.errors import DomainError, GridMismatchError
 from rankdyn.ranks import Bandwidths
 from rankdyn.simulation import (
     SimModel,
-    basis_eval,
     basis_matrix,
     generate_sample,
     mise,
@@ -20,32 +19,26 @@ from rankdyn.simulation import (
 
 class TestBasis:
     def test_piecewise_square_curve(self):
-        psi, dpsi = basis_eval(1, np.array([0.4, 0.5, 0.75]))
-        assert psi[0] == 0.0 and psi[1] == 0.0
-        assert psi[2] == pytest.approx(6 * 0.25**2)
-        assert dpsi[1] == 0.0  # kink convention
+        psi, dpsi = basis_matrix(np.array([0.4, 0.5, 0.75]))
+        assert psi[0, 0] == 0.0 and psi[1, 0] == 0.0
+        assert psi[2, 0] == pytest.approx(6 * 0.25**2)
+        assert dpsi[1, 0] == 0.0  # kink convention
 
     def test_sine_curve_values(self):
-        psi, dpsi = basis_eval(4, 0.25)
-        assert psi == pytest.approx(2.0, abs=1e-15)
-        assert dpsi == pytest.approx(0.0, abs=1e-12)
-
-    def test_index_validation(self):
-        with pytest.raises(DomainError):
-            basis_eval(0, 0.5)
-        with pytest.raises(DomainError):
-            basis_eval(6, 0.5)
+        psi, dpsi = basis_matrix(0.25)
+        assert psi[3] == pytest.approx(2.0, abs=1e-15)
+        assert dpsi[3] == pytest.approx(0.0, abs=1e-12)
 
     def test_derivatives_match_finite_differences(self):
         rng = np.random.default_rng(13)
         t = rng.uniform(0.005, 0.995, 200)
         t = t[np.abs(t - 0.5) > 1e-3]  # skip the curvature kink of psi_1
         h = 1e-6
-        for k in range(1, 6):
-            pk_hi, _ = basis_eval(k, t + h)
-            pk_lo, _ = basis_eval(k, t - h)
-            _, dk = basis_eval(k, t)
-            assert np.max(np.abs((pk_hi - pk_lo) / (2 * h) - dk)) < 1e-5
+        p_hi, _ = basis_matrix(t + h)
+        p_lo, _ = basis_matrix(t - h)
+        _, d = basis_matrix(t)
+        for k in range(5):
+            assert np.max(np.abs((p_hi[:, k] - p_lo[:, k]) / (2 * h) - d[:, k])) < 1e-5
 
 
 class TestGenerate:
