@@ -11,13 +11,13 @@ All estimators reduce to five weighted sums over the pooled observations
 
 and the population averages are Q1 = S1/(n h_T), Q2 = S2/(n h_T),
 Q3 = S3/(n h_T^2), Q4 = S4/(n h_T^2), Q5 = S5/(n h_Y h_T).  Only
-observations with |t - t_k| <= h_T contribute (compact support), so sums
-run over a window of the time-sorted pooled data.
+observations with |t - t_k| < h_T have a nonzero time weight (compact
+support); they form the time's window.
 
 The sums are updated, not evaluated term by term.  Write a_k for a time
 weight (w_k K or w_k K') and u_k = (y_q - y_k)/h_Y.  H is 1 for u >= 1 and
 0 for u <= -1, and on [-1, 1] both H and K are polynomials (their
-coefficients live on ``Kernel``).  With the window sorted by y,
+coefficients live on ``Kernel``).  With the observations sorted by y,
 
     sum_k a_k H(u_k) = sum_{y_k < y_q - h_Y} a_k
                        + sum_{|y_k - y_q| <= h_Y} a_k P_H(u_k),
@@ -33,14 +33,22 @@ in-band points: a difference of two prefix moments.  The band
 ``searchsorted`` lookups for the band, one per cell edge and a small
 polynomial: O(log window) instead of O(window).
 
-Per time point the window is sorted once and the K and K' weights are
-computed once per distinct h_T; one set of prefix moments then serves every
-h_T.  Bandwidths h_Y within a factor 2 of each other also share one set,
-built on cells as wide as the smallest of them (moments in units of a wider
-h_Y are the same sums scaled by a power of the width ratio); their bands
-span at most five cells.  The number of cells a band spans is read off the
-data, so a band edge that rounding puts on a cell edge costs one more cell,
-not a wrong sum.
+``flatten`` sorts the pooled observations by value once, ties broken by
+time.  ``qbar_grid`` walks its times in ascending order (the outputs keep
+the caller's order) in consecutive blocks.  A block's window, every
+observation within the widest h_T of its [first, last] time, is picked out
+of the value-sorted data and so stays sorted.  Its prefix moments have one
+column per block time, distinct h_T and K or K'; a query reads only its own
+time's columns, where observations outside that time's window weigh zero.
+A block grows while (window size) x (number of times) stays within the
+pooled sample size N, so its prefix moments are never larger than those of
+one time whose window holds the whole sample.  Bandwidths h_Y within a
+factor 2 of each other share one set of moments, built on cells as wide as
+the smallest of them (moments in units of a wider h_Y are the same sums
+scaled by a power of the width ratio); their bands span at most five
+cells.  The number of cells a band spans is read off the data, so a band
+edge that rounding puts on a cell edge costs one more cell, not a wrong
+sum.
 
 The moments are cell-local because centring matters here.  About a single
 centre they would carry powers of (y range / h_Y) up to the polynomial
@@ -49,10 +57,7 @@ cancel catastrophically when one subject sits far from the rest.
 Cell-local moments are bounded by the window's total weight, so the error
 stays at rounding level whatever the spread of the data.
 
-There is no chunking of the queries, because no temporary is a (queries x
-window) product.  The largest are the prefix moments, (window x degree x
-time weights), and the per-query gathers, (queries x cells x degree x time
-weights).
+No temporary is a (queries x window) product, so queries need no chunking.
 """
 
 from __future__ import annotations
@@ -68,22 +73,20 @@ from .kernels import Kernel
 
 @dataclass
 class FlatData:
-    """Pooled observations sorted by time."""
+    """Pooled observations sorted by value, ties broken by time."""
 
-    t: np.ndarray     # (N,) ascending
-    y: np.ndarray     # (N,)
-    w: np.ndarray     # (N,) per-point weight 1/m_subject
-    subj: np.ndarray  # (N,) subject index
-    n: int            # number of subjects
+    t: np.ndarray  # (N,)
+    y: np.ndarray  # (N,) ascending
+    w: np.ndarray  # (N,) per-point weight 1/m_subject
+    n: int         # number of subjects
 
 
 def flatten(times, values, n: int) -> FlatData:
     t = np.concatenate(times)
     y = np.concatenate(values)
-    subj = np.concatenate([np.full(ti.size, i) for i, ti in enumerate(times)])
     w = np.concatenate([np.full(ti.size, 1.0 / ti.size) for ti in times])
-    order = np.argsort(t, kind="stable")
-    return FlatData(t[order], y[order], w[order], subj[order], n)
+    order = np.lexsort((t, y))
+    return FlatData(t[order], y[order], w[order], n)
 
 
 def flatten_sample(sample) -> FlatData:
@@ -93,12 +96,6 @@ def flatten_sample(sample) -> FlatData:
     # smoothed: every subject lives on the shared eval grid
     grids = [sample.eval_grid] * sample.n
     return flatten(grids, list(sample.values), sample.n)
-
-
-def time_window(flat: FlatData, t: float, h_t: float) -> slice:
-    lo = np.searchsorted(flat.t, t - h_t, side="left")
-    hi = np.searchsorted(flat.t, t + h_t, side="right")
-    return slice(int(lo), int(hi))
 
 
 def _expansion(coeffs) -> np.ndarray:
@@ -127,16 +124,33 @@ def _powers(x: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
+def _blocks(t_sorted: np.ndarray, ts: np.ndarray, h_t: float):
+    """Consecutive blocks [start, stop) of the ascending times ``ts``.
+
+    A block grows while its window size, the observations with time in
+    [ts[start] - h_t, ts[stop - 1] + h_t], times its number of times stays
+    within the pooled sample size.
+    """
+    lo = np.searchsorted(t_sorted, ts - h_t, side="left")
+    hi = np.searchsorted(t_sorted, ts + h_t, side="right")
+    start = 0
+    for stop in range(1, ts.size + 1):
+        if stop == ts.size or (hi[stop] - lo[start]) * (stop + 1 - start) > t_sorted.size:
+            yield start, stop
+            start = stop
+
+
 def _cell_moments(u: np.ndarray, a: np.ndarray, deg: int):
     """Cells floor(u) of sorted ``u`` and the prefix moments about cell centres.
 
-    Returns (cell, mom) with mom[i, r, c] = sum_{j<i} a[j, c] v_j^r, where
+    ``a`` is (points, times, columns).  Returns (cell, mom) with
+    mom[i, b, r, c] = sum_{j<i} a[j, b, c] v_j^r, where
     v_j = u_j - (cell_j + 1/2) lies in [-1/2, 1/2).
     """
     cell = np.floor(u)
-    mom = np.empty((u.size + 1, deg, a.shape[1]))
+    mom = np.empty((u.size + 1, a.shape[1], deg, a.shape[2]))
     mom[0] = 0.0
-    np.multiply(_powers(u - cell - 0.5, deg)[:, :, None], a[:, None, :], out=mom[1:])
+    np.multiply(_powers(u - cell - 0.5, deg)[:, None, :, None], a[:, :, None, :], out=mom[1:])
     np.cumsum(mom[1:], axis=0, out=mom[1:])
     return cell, mom
 
@@ -144,84 +158,93 @@ def _cell_moments(u: np.ndarray, a: np.ndarray, deg: int):
 def _band_sums(u, cell, mom, uq, reach: float, expand: np.ndarray):
     """In-band polynomial sums for queries ``uq`` over the band |u - uq| <= reach.
 
-    ``expand`` stacks the expansions of H and K, whose argument is
-    (uq - u) / reach.  Returns (lo, sums): lo indexes the first in-band
-    point (the mass below it has H = 1) and sums is (queries, H|K, columns).
+    ``uq`` is (queries, times) and column b reads only the moments of time
+    b.  ``expand`` stacks the expansions of H and K, whose argument is
+    (uq - u) / reach.  Returns (below, sums): below is the mass under the
+    band, where H = 1, as (queries, times, columns), and sums is
+    (queries, times, H|K, columns).
     """
     lo = np.searchsorted(u, uq - reach, side="left")
     hi = np.searchsorted(u, uq + reach, side="right")
     first = cell[np.minimum(lo, u.size - 1)]
     ncell = int((cell[hi - 1] - first).max(initial=0.0, where=hi > lo)) + 1
     # split each band [lo, hi) at its cell edges
-    inner = np.searchsorted(cell, first[:, None] + np.arange(1, ncell), side="left")
+    inner = np.searchsorted(cell, first[..., None] + np.arange(1, ncell), side="left")
     edges = np.concatenate(
-        [lo[:, None], np.clip(inner, lo[:, None], hi[:, None]), hi[:, None]], axis=1
+        [lo[..., None], np.clip(inner, lo[..., None], hi[..., None]), hi[..., None]], axis=-1
     )
     deg = expand.shape[-1]
-    band = np.diff(mom[edges], axis=1).reshape(uq.size, ncell * deg, mom.shape[-1])
+    nq, nb = uq.shape
+    own = np.arange(nb)
+    band = np.diff(mom[edges, own[:, None]], axis=2).reshape(nq, nb, ncell * deg, -1)
     # z and v in units of the band's half width: scale the r-th moment by reach^-r
-    zp = _powers((uq[:, None] - (first[:, None] + np.arange(ncell) + 0.5)) / reach, deg)
-    coef = zp[:, None] @ (expand * _powers(np.float64(1.0 / reach), deg))
-    return lo, coef.reshape(uq.size, 2, ncell * deg) @ band
+    zp = _powers((uq[..., None] - (first[..., None] + np.arange(ncell) + 0.5)) / reach, deg)
+    coef = zp[:, :, None] @ (expand * _powers(np.float64(1.0 / reach), deg))
+    return mom[lo, own, 0], coef.reshape(nq, nb, 2, ncell * deg) @ band
 
 
-def qbar_all_pairs(flat: FlatData, kern: Kernel, pairs, t: float, yq):
-    """All five averages at one time point for each (h_y, h_t) pair.
+def qbar_grid(flat: FlatData, kern: Kernel, pairs, ts, yq):
+    """All five averages on a grid of times for each (h_y, h_t) pair.
 
-    ``pairs`` is a sequence of (h_y, h_t) tuples; Q1, Q3 and Q5 come per
-    query.  All pairs share one y-sorted widest time window; the per-pair
-    time weights are zero outside each pair's own window, so the results
-    equal one-pair calls (up to rounding).  A query more than h_y above
-    every in-window value gets Q1 = Q2 and Q3 = Q4 exactly.
-
-    Returns a list of (q1, q2, q3, q4, q5) tuples aligned with ``pairs``.
+    ``pairs`` is a sequence of (h_y, h_t) tuples, ``ts`` is (T,) in any
+    order and ``yq`` is (Q, T), column j queried at ts[j].  Returns a list
+    of (q1, q2, q3, q4, q5) aligned with ``pairs``: Q1, Q3 and Q5 are (Q, T)
+    and Q2 and Q4 are (T,), all zero at a time with no data within h_t.  A
+    query more than h_y above every value within h_t of its time gets Q1 = Q2
+    and Q3 = Q4 exactly.
     """
-    yq = np.atleast_1d(np.asarray(yq, dtype=float))
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    yq = np.asarray(yq, dtype=float)
     col = {ht: c for c, ht in enumerate(sorted({float(ht) for _, ht in pairs}))}
     h_ts = np.array(list(col))
-    win = time_window(flat, t, h_ts[-1])
-    order = np.argsort(flat.y[win], kind="stable")
-    ys = flat.y[win][order]
-    n, nt = flat.n, h_ts.size
-    if ys.size == 0:
-        zero = np.zeros(yq.size)
-        return [(zero, 0.0, zero, 0.0, zero) for _ in pairs]
-    arg = (t - flat.t[win][order])[:, None] / h_ts
-    ww = flat.w[win][order, None]
-    # time-weight columns: K for each distinct h_t, then K' for each
-    a = np.concatenate([kern.density(arg) * ww, kern.density_deriv(arg) * ww], axis=1)
+    n, nt, reach = flat.n, h_ts.size, h_ts[-1]
     expand = _expansions(kern)
     deg = expand.shape[-1]
-    # count cells from the middle value: keeps |u|, and so its rounding, small for the bulk
-    origin = ys[ys.size // 2]
 
     groups: dict[float, list[int]] = {}
     for idx, (hy, _) in enumerate(pairs):
         groups.setdefault(float(hy), []).append(idx)
 
-    out: list = [None] * len(pairs)
-    hys = sorted(groups)
-    while hys:
-        # every h_y within a factor 2 of the smallest left shares cells of that
-        # width, so a band spans at most 5 cells
-        width = hys[0]
-        shared = [hy for hy in hys if hy <= 2.0 * width]
-        hys = hys[len(shared):]
-        u = (ys - origin) / width
-        cell, mom = _cell_moments(u, a, deg)
-        total = mom[-1, 0]
-        uq = (yq - origin) / width
-        for hy in shared:
-            lo, sums = _band_sums(u, cell, mom, uq, hy / width, expand)
-            s_h = mom[lo, 0] + sums[:, 0]
-            for idx in groups[hy]:
-                ht = pairs[idx][1]
-                c = col[float(ht)]
-                out[idx] = (
-                    s_h[:, c] / (n * ht),
-                    float(total[c]) / (n * ht),
-                    s_h[:, nt + c] / (n * ht * ht),
-                    float(total[nt + c]) / (n * ht * ht),
-                    sums[:, 1, c] / (n * hy * ht),
-                )
+    out = [
+        (np.zeros(yq.shape), np.zeros(ts.size), np.zeros(yq.shape), np.zeros(ts.size),
+         np.zeros(yq.shape))
+        for _ in pairs
+    ]
+    order = np.argsort(ts, kind="stable")
+    for start, stop in _blocks(np.sort(flat.t), ts[order], reach):
+        cols = order[start:stop]
+        tb = ts[cols]
+        near = np.flatnonzero((flat.t >= tb[0] - reach) & (flat.t <= tb[-1] + reach))
+        if near.size == 0:
+            continue
+        ys = flat.y[near]
+        arg = (tb[:, None] - flat.t[near, None, None]) / h_ts
+        ww = flat.w[near, None, None]
+        # per block time: K for each distinct h_t, then K' for each
+        a = np.concatenate([kern.density(arg) * ww, kern.density_deriv(arg) * ww], axis=-1)
+        # count cells from the middle value: keeps |u|, and so its rounding, small for the bulk
+        origin = ys[ys.size // 2]
+        hys = sorted(groups)
+        while hys:
+            # every h_y within a factor 2 of the smallest left shares cells of that
+            # width, so a band spans at most 5 cells
+            width = hys[0]
+            shared = [hy for hy in hys if hy <= 2.0 * width]
+            hys = hys[len(shared):]
+            u = (ys - origin) / width
+            cell, mom = _cell_moments(u, a, deg)
+            total = mom[-1, :, 0]
+            uq = (yq[:, cols] - origin) / width
+            for hy in shared:
+                below, sums = _band_sums(u, cell, mom, uq, hy / width, expand)
+                s_h = below + sums[:, :, 0]
+                for idx in groups[hy]:
+                    ht = pairs[idx][1]
+                    c = col[float(ht)]
+                    q1, q2, q3, q4, q5 = out[idx]
+                    q1[:, cols] = s_h[..., c] / (n * ht)
+                    q2[cols] = total[:, c] / (n * ht)
+                    q3[:, cols] = s_h[..., nt + c] / (n * ht * ht)
+                    q4[cols] = total[:, nt + c] / (n * ht * ht)
+                    q5[:, cols] = sums[:, :, 1, c] / (n * hy * ht)
     return out

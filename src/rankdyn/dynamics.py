@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _engine
-from .errors import DataError, DegenerateSampleError, DomainError, InsufficientDataError
+from .errors import DataError, DegenerateSampleError, DomainError
 from .kernels import EPANECHNIKOV, Kernel
-from .ranks import Bandwidths, _check_interior
+from .ranks import Bandwidths, _check_interior, _estimates, _trimmed_grid
 from .sample import FunctionalSample, SmoothedSample
 
 __all__ = [
@@ -79,23 +78,8 @@ def estimate_partials(
     is a ratio of nonnegative kernel sums.
     """
     _check_interior(t, bw.h_t, allow_boundary)
-    flat = _engine.flatten_sample(sample)
-    [(q1, q2, q3, q4, q5)] = _engine.qbar_all_pairs(
-        flat, kernel, [(bw.h_y, bw.h_t)], t, [float(y)]
-    )
-    if q2 <= 0.0:
-        raise InsufficientDataError(f"no observations within h_t={bw.h_t!r} of t={t!r}")
-    d1 = q3[0] / q2 - q1[0] * q4 / (q2 * q2)
-    d2 = q5[0] / q2
-    return float(d1), float(d2)
-
-
-def _trimmed_grid(eval_grid: np.ndarray, trim: float) -> np.ndarray:
-    keep = (eval_grid >= trim - _TOL) & (eval_grid <= 1.0 - trim + _TOL)
-    trimmed = eval_grid[keep]
-    if trimmed.size == 0:
-        raise DomainError(f"no evaluation points remain inside [{trim}, {1 - trim}]")
-    return trimmed
+    [(_, d1, d2)] = _estimates(sample, kernel, [bw], [t], [[y]])
+    return float(d1[0, 0]), float(d2[0, 0])
 
 
 def decompose_many(
@@ -120,33 +104,13 @@ def decompose_many(
         raise DomainError("trim must be at least the largest h_t in use")
     grid = _trimmed_grid(smoothed.eval_grid, float(trim))
     cols = np.searchsorted(smoothed.eval_grid, grid - _TOL)
-    flat = _engine.flatten_sample(sample)
-    pairs = [(bw.h_y, bw.h_t) for bw in bandwidths]
-    n, gp = sample.n, grid.size
-    c1 = [np.empty((n, gp)) for _ in pairs]
-    c2 = [np.empty((n, gp)) for _ in pairs]
-    for g, (tg, col) in enumerate(zip(grid, cols)):
-        yq = smoothed.values[:, col]
-        dyq = smoothed.derivatives[:, col]
-        for p, (q1, q2, q3, q4, q5) in enumerate(
-            _engine.qbar_all_pairs(flat, kernel, pairs, float(tg), yq)
-        ):
-            if q2 <= 0.0:
-                if strict:
-                    raise InsufficientDataError(
-                        f"no observations within h_t={pairs[p][1]!r} of t={tg!r}"
-                    )
-                c1[p][:, g] = np.nan
-                c2[p][:, g] = np.nan
-                continue
-            d1 = q3 / q2 - q1 * q4 / (q2 * q2)
-            d2 = q5 / q2
-            c1[p][:, g] = d1
-            c2[p][:, g] = d2 * dyq
-    return [
-        DecompositionResult(list(sample.ids), grid, c1p, c2p, c1p + c2p)
-        for c1p, c2p in zip(c1, c2)
-    ]
+    fields = _estimates(sample, kernel, bandwidths, grid, smoothed.values[:, cols], strict)
+    dyq = smoothed.derivatives[:, cols]
+    out = []
+    for _, d1, d2 in fields:
+        c2 = d2 * dyq
+        out.append(DecompositionResult(list(sample.ids), grid, d1, c2, d1 + c2))
+    return out
 
 
 def decompose(

@@ -149,6 +149,39 @@ def _check_interior(t: float, h_t: float, allow_boundary: bool):
         )
 
 
+def _trimmed_grid(eval_grid: np.ndarray, trim: float) -> np.ndarray:
+    keep = (eval_grid >= trim - _TOL) & (eval_grid <= 1.0 - trim + _TOL)
+    trimmed = eval_grid[keep]
+    if trimmed.size == 0:
+        raise DomainError(f"no evaluation points remain inside [{trim}, {1 - trim}]")
+    return trimmed
+
+
+def _estimates(sample, kernel: Kernel, bandwidths, ts, yq, strict: bool = True):
+    """(F, D1, D2), each (Q, T), per bandwidth pair from one engine call.
+
+    F = Q1/Q2 is the cdf estimate and D1, D2 its time and value partials;
+    ``ts`` and ``yq`` are as in ``_engine.qbar_grid``.  A time without data
+    within h_t raises, naming the first such time; with strict=False its
+    columns are NaN.
+    """
+    pairs = [(bw.h_y, bw.h_t) for bw in bandwidths]
+    qs = _engine.qbar_grid(_engine.flatten_sample(sample), kernel, pairs, ts, yq)
+    empty = np.array([q2 for _, q2, _, _, _ in qs]) <= 0.0
+    if strict and empty.any():
+        j, p = np.argwhere(empty.T)[0]
+        raise InsufficientDataError(
+            f"no observations within h_t={pairs[p][1]!r} of t={float(ts[j])!r}"
+        )
+    out = []
+    for (q1, q2, q3, q4, q5), gap in zip(qs, empty):
+        q2 = np.where(gap, np.nan, q2)
+        # numerator <= denominator holds mathematically (H <= 1 with equal weights);
+        # enforce it so saturated queries give exactly 1 despite summation-order dust
+        out.append((np.minimum(q1, q2) / q2, q3 / q2 - q1 * q4 / (q2 * q2), q5 / q2))
+    return out
+
+
 def smooth_cdf(
     sample,
     bw: Bandwidths,
@@ -163,15 +196,8 @@ def smooth_cdf(
     [0, 1] for cdf-type integrated kernels); downstream reports clamp.
     """
     _check_interior(t, bw.h_t, allow_boundary)
-    flat = _engine.flatten_sample(sample)
-    [(q1, q2, _, _, _)] = _engine.qbar_all_pairs(
-        flat, kernel, [(bw.h_y, bw.h_t)], t, [float(y)]
-    )
-    if q2 <= 0.0:
-        raise InsufficientDataError(f"no observations within h_t={bw.h_t!r} of t={t!r}")
-    # numerator <= denominator holds mathematically (H <= 1 with equal weights);
-    # enforce it so saturated queries give exactly 1 despite summation-order dust
-    return float(min(q1[0], q2) / q2)
+    [(f, _, _)] = _estimates(sample, kernel, [bw], [t], [[y]])
+    return float(f[0, 0])
 
 
 def smooth_ranks(
@@ -190,25 +216,7 @@ def smooth_ranks(
         raise DataError("rank estimation needs at least 2 subjects")
     if eval_grid is None:
         eval_grid = grid
-    eval_grid = np.atleast_1d(np.asarray(eval_grid, dtype=float))
-    keep = (eval_grid >= bw.h_t - _TOL) & (eval_grid <= 1.0 - bw.h_t + _TOL)
-    trimmed = eval_grid[keep]
-    if trimmed.size == 0:
-        raise DomainError(
-            f"no evaluation points remain inside [h_t, 1-h_t] = [{bw.h_t}, {1 - bw.h_t}]"
-        )
-    cols = match_grid(grid, trimmed)
-    flat = _engine.flatten_sample(source)
-    n = len(ids)
-    out = np.empty((n, trimmed.size))
-    for g, (tg, c) in enumerate(zip(trimmed, cols)):
-        [(q1, q2, _, _, _)] = _engine.qbar_all_pairs(
-            flat, kernel, [(bw.h_y, bw.h_t)], float(tg), vals[:, c]
-        )
-        if q2 <= 0.0:
-            raise InsufficientDataError(
-                f"no observations within h_t={bw.h_t!r} of t={tg!r}"
-            )
-        out[:, g] = q1 / q2
-    np.clip(out, 0.0, 1.0, out=out)
-    return RankTrajectories(list(ids), trimmed, out, "smooth")
+    trimmed = _trimmed_grid(np.atleast_1d(np.asarray(eval_grid, dtype=float)), bw.h_t)
+    [(f, _, _)] = _estimates(source, kernel, [bw], trimmed, vals[:, match_grid(grid, trimmed)])
+    np.clip(f, 0.0, 1.0, out=f)
+    return RankTrajectories(list(ids), trimmed, f, "smooth")

@@ -228,11 +228,10 @@ def test_criterion_9_algebraic_invariants(sim200_fixed, cv200):
 
     flat = _engine.flatten_sample(sim.sample)
     rng = np.random.default_rng(99)
-    d2_min = np.inf
-    for t in rng.uniform(0.25, 0.75, 100):
-        yq = rng.uniform(-6.0, 12.0, 100)
-        [(_, q2, _, _, q5)] = _engine.qbar_all_pairs(flat, EPANECHNIKOV, [(0.7, 0.2)], float(t), yq)
-        d2_min = min(d2_min, float((q5 / q2).min()))
+    ts = rng.uniform(0.25, 0.75, 100)
+    yq = np.stack([rng.uniform(-6.0, 12.0, 100) for _ in ts], axis=1)
+    [(_, q2, _, _, q5)] = _engine.qbar_grid(flat, EPANECHNIKOV, [(0.7, 0.2)], ts, yq)
+    d2_min = float((q5 / q2).min())
 
     ranks = smooth_ranks(sim200_fixed.sample, cv200)
     emp = empirical_ranks(sim200_fixed.sample)

@@ -78,8 +78,8 @@ class TestEstimatePartials:
 
     def test_q4_antisymmetry_at_center(self, sim50):
         flat = _engine.flatten_sample(sim50.sample)
-        [(_, _, _, q4, _)] = _engine.qbar_all_pairs(flat, EPANECHNIKOV, [(0.8, 0.25)], 0.5, [0.0])
-        assert abs(q4) < 1e-12
+        [(_, _, _, q4, _)] = _engine.qbar_grid(flat, EPANECHNIKOV, [(0.8, 0.25)], [0.5], [[0.0]])
+        assert abs(q4[0]) < 1e-12
 
 
 class TestDecompose:
@@ -147,8 +147,12 @@ class TestDecompose:
         s = FunctionalSample.from_matrix(grid, np.vstack([np.zeros(4), np.ones(4)]))
         sm = presmooth(s, h_d=0.75, eval_grid_size=21)
         bw = Bandwidths(0.5, 0.1)
-        with pytest.raises(InsufficientDataError):
+        # the first trimmed grid time without data: 0.15 lies just over h_t from 0.05
+        with pytest.raises(InsufficientDataError, match=r"h_t=0\.1 of t=(np\.float64\()?0\.1500"):
             decompose(s, sm, bw)
+        # with several pairs, the first such time names the first pair without data there
+        with pytest.raises(InsufficientDataError, match=r"h_t=0\.08 of t=(np\.float64\()?0\.1500"):
+            decompose_many(s, sm, [Bandwidths(0.5, 0.08), bw])
         marked = decompose(s, sm, bw, strict=False)
         gap = np.argmin(np.abs(marked.trimmed_grid - 0.4))
         near = np.argmin(np.abs(marked.trimmed_grid - 0.3))

@@ -173,6 +173,16 @@ class TestSmoothRanks:
         assert rk.ranks.shape[0] == 50
         assert rk.ranks.min() >= 0.0 and rk.ranks.max() <= 1.0
 
+    def test_shuffled_grid_keeps_its_order(self, sim50):
+        smoothed = presmooth(sim50.sample, h_d=0.12, eval_grid_size=101)
+        bw = Bandwidths(0.5, 0.0648)
+        ascending = smooth_ranks(smoothed, bw)
+        shuffled = np.random.default_rng(3).permutation(smoothed.eval_grid)
+        rk = smooth_ranks(smoothed, bw, eval_grid=shuffled)
+        assert np.array_equal(rk.eval_grid, shuffled[np.isin(shuffled, ascending.eval_grid)])
+        cols = np.searchsorted(ascending.eval_grid, rk.eval_grid)
+        assert np.array_equal(rk.ranks, ascending.ranks[:, cols])
+
     def test_mean_rank_near_half(self, sim200):
         bw = default_bandwidths(sim200.sample)
         rk = smooth_ranks(sim200.sample, bw)
