@@ -159,9 +159,9 @@ def _band_sums(u, cell, mom, uq, reach: float, expand: np.ndarray):
     """In-band polynomial sums for queries ``uq`` over the band |u - uq| <= reach.
 
     ``uq`` is (queries, times) and column b reads only the moments of time
-    b.  ``expand`` stacks the expansions of H and K, whose argument is
-    (uq - u) / reach.  Returns (below, sums): below is the mass under the
-    band, where H = 1, as (queries, times, columns), and sums is
+    b.  ``expand`` stacks the expansions of H and, optionally, K, whose
+    argument is (uq - u) / reach.  Returns (below, sums): below is the mass
+    under the band, where H = 1, as (queries, times, columns), and sums is
     (queries, times, H|K, columns).
     """
     lo = np.searchsorted(u, uq - reach, side="left")
@@ -173,17 +173,17 @@ def _band_sums(u, cell, mom, uq, reach: float, expand: np.ndarray):
     edges = np.concatenate(
         [lo[..., None], np.clip(inner, lo[..., None], hi[..., None]), hi[..., None]], axis=-1
     )
-    deg = expand.shape[-1]
+    nf, deg = expand.shape[0], expand.shape[-1]
     nq, nb = uq.shape
     own = np.arange(nb)
     band = np.diff(mom[edges, own[:, None]], axis=2).reshape(nq, nb, ncell * deg, -1)
     # z and v in units of the band's half width: scale the r-th moment by reach^-r
     zp = _powers((uq[..., None] - (first[..., None] + np.arange(ncell) + 0.5)) / reach, deg)
     coef = zp[:, :, None] @ (expand * _powers(np.float64(1.0 / reach), deg))
-    return mom[lo, own, 0], coef.reshape(nq, nb, 2, ncell * deg) @ band
+    return mom[lo, own, 0], coef.reshape(nq, nb, nf, ncell * deg) @ band
 
 
-def qbar_grid(flat: FlatData, kern: Kernel, pairs, ts, yq):
+def qbar_grid(flat: FlatData, kern: Kernel, pairs, ts, yq, partials: bool = True):
     """All five averages on a grid of times for each (h_y, h_t) pair.
 
     ``pairs`` is a sequence of (h_y, h_t) tuples, ``ts`` is (T,) in any
@@ -191,25 +191,23 @@ def qbar_grid(flat: FlatData, kern: Kernel, pairs, ts, yq):
     of (q1, q2, q3, q4, q5) aligned with ``pairs``: Q1, Q3 and Q5 are (Q, T)
     and Q2 and Q4 are (T,), all zero at a time with no data within h_t.  A
     query more than h_y above every value within h_t of its time gets Q1 = Q2
-    and Q3 = Q4 exactly.
+    and Q3 = Q4 exactly.  With ``partials=False`` only (q1, q2) are built:
+    no K' time weights and no K moments.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     yq = np.asarray(yq, dtype=float)
     col = {ht: c for c, ht in enumerate(sorted({float(ht) for _, ht in pairs}))}
     h_ts = np.array(list(col))
     n, nt, reach = flat.n, h_ts.size, h_ts[-1]
-    expand = _expansions(kern)
+    expand = _expansions(kern) if partials else _expansions(kern)[:1]
     deg = expand.shape[-1]
 
     groups: dict[float, list[int]] = {}
     for idx, (hy, _) in enumerate(pairs):
         groups.setdefault(float(hy), []).append(idx)
 
-    out = [
-        (np.zeros(yq.shape), np.zeros(ts.size), np.zeros(yq.shape), np.zeros(ts.size),
-         np.zeros(yq.shape))
-        for _ in pairs
-    ]
+    shapes = (yq.shape, ts.size, yq.shape, ts.size, yq.shape)[: 5 if partials else 2]
+    out = [tuple(np.zeros(shape) for shape in shapes) for _ in pairs]
     order = np.argsort(ts, kind="stable")
     for start, stop in _blocks(np.sort(flat.t), ts[order], reach):
         cols = order[start:stop]
@@ -221,7 +219,9 @@ def qbar_grid(flat: FlatData, kern: Kernel, pairs, ts, yq):
         arg = (tb[:, None] - flat.t[near, None, None]) / h_ts
         ww = flat.w[near, None, None]
         # per block time: K for each distinct h_t, then K' for each
-        a = np.concatenate([kern.density(arg) * ww, kern.density_deriv(arg) * ww], axis=-1)
+        a = kern.density(arg) * ww
+        if partials:
+            a = np.concatenate([a, kern.density_deriv(arg) * ww], axis=-1)
         # count cells from the middle value: keeps |u|, and so its rounding, small for the bulk
         origin = ys[ys.size // 2]
         hys = sorted(groups)
@@ -241,10 +241,12 @@ def qbar_grid(flat: FlatData, kern: Kernel, pairs, ts, yq):
                 for idx in groups[hy]:
                     ht = pairs[idx][1]
                     c = col[float(ht)]
-                    q1, q2, q3, q4, q5 = out[idx]
+                    q1, q2, *rest = out[idx]
                     q1[:, cols] = s_h[..., c] / (n * ht)
                     q2[cols] = total[:, c] / (n * ht)
-                    q3[:, cols] = s_h[..., nt + c] / (n * ht * ht)
-                    q4[cols] = total[:, nt + c] / (n * ht * ht)
-                    q5[:, cols] = sums[:, :, 1, c] / (n * hy * ht)
+                    if partials:
+                        q3, q4, q5 = rest
+                        q3[:, cols] = s_h[..., nt + c] / (n * ht * ht)
+                        q4[cols] = total[:, nt + c] / (n * ht * ht)
+                        q5[:, cols] = sums[:, :, 1, c] / (n * hy * ht)
     return out

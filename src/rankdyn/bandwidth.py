@@ -8,6 +8,13 @@ leave-out predictive cdf.  The y-integral runs on a 201-point grid over
 both pieces stay smooth); with compact-support kernels the integrand
 vanishes identically outside that window, so the truncation is exact.
 
+The rule is linear in the integrand, so each scored value Y costs a
+quadratic form in the leave-out cdf f on the y-grid:
+f^2 . w + (y_last - Y) - f . lam.  Here w holds the trapezoid weights, one
+vector per h_y.  lam is one row per scored value: twice the trapezoid
+weight above Y's cell, and the two terms of the cell split at Y.  No cdf
+column is integrated elementwise.
+
 Leaving out always removes the whole subject: the within-subject
 observations are maximally dependent, so removing a single point would
 barely change the estimator and defeat the validation.  One code path
@@ -20,20 +27,23 @@ observation at every point of the y-grid, into an (n, m_max, 201) buffer.
 The time weights K((t - t_k)/h_t) / m_i are exactly 0 outside
 |t - t_k| <= h_t and on the padding at t = 2, so they select each time's
 window; there is no window gather.  The sorted distinct interior times are
-walked in consecutive blocks.  A block ends before a time that would score
-one of its subjects a second time, and after as many times as the longest
-subject has observations; both limits come from the data.  On a shared grid
-every subject is scored at every time, so each block is one time; on a
-ragged grid a block holds many.  The time weights of all pairs sharing an
-h_y, at all B block times, form a (pairs, B, n, m_max) tensor; one
-matmul against H gives the all-subject sums at every block time, and one
-batched matmul gives each scored subject's own sums from its weights at the
-time where it is scored.
+walked in consecutive blocks.  With P the most pairs sharing one h_y, a
+block scores each subject at most L = max(1, m_max // (2P)) times and
+holds at most max(1, 201 // (2P)) times; both limits come from the data
+and the y-grid.  On a shared grid every subject is scored at every time,
+so a block is L times (4 on the default grid with 32 points); on a ragged
+grid it holds many.  The time weights of all pairs sharing an h_y, at all
+B block times, form a (B, P, n, m_max) tensor.  One matmul against H gives
+the all-subject sums at every block time.  One batched matmul gives the
+own sums of every (subject, slot), from the subject's weights at the time
+where that slot is scored.
 
-Memory: H and its argument are two (n, m_max, 201) buffers, allocated once
-per call and reused for every h_y.  No array grows as n^2: each subject is
-scored at most once per block, so own sums are (n, pairs, 201), and B is
-bounded by m_max, so the weights are O(n m_max^2) per pair.
+Memory: H is one (n, m_max, 201) buffer, and a spare buffer of the same
+size holds, in turn, H's argument, then each block's time weights and
+their argument in its two halves, then the block's own sums and leave-out
+numerators in its two halves.  The two limits above are what make each
+pair of these fit in it.  Nothing else grows with H: the per-block rows
+of lam are (n L, 201), which is L / m_max of H.
 """
 
 from __future__ import annotations
@@ -123,49 +133,30 @@ class CvReport:
     chosen: Bandwidths
 
 
-def _sq_error_integrals(ygrid: np.ndarray, f: np.ndarray, jumps: np.ndarray) -> np.ndarray:
-    """integral of (1{jump <= y} - F(y))^2 dy, one value per column of F.
-
-    Splitting at the indicator jump keeps both pieces smooth:
-    the total equals  int F^2 dy + int_{jump}^inf (1 - 2F) dy,
-    so a fixed-resolution trapezoid stays second-order accurate instead of
-    degrading to first order across the step.  F is evaluated on ``ygrid``
-    (columns are independent curves); ``jumps`` holds one split point per
-    column, each inside the grid range.
-    """
-    base = np.trapezoid(f * f, ygrid, axis=0)
-    g = 1.0 - 2.0 * f
-    dy = np.diff(ygrid)
-    cell = 0.5 * (g[:-1] + g[1:]) * dy[:, None]
-    tail = np.zeros_like(f)
-    tail[:-1] = cell[::-1].cumsum(axis=0)[::-1]
-    idx = np.searchsorted(ygrid, jumps)
-    idx = np.clip(idx, 1, ygrid.size - 1)
-    cols = np.arange(f.shape[1])
-    frac = (jumps - ygrid[idx - 1]) / (ygrid[idx] - ygrid[idx - 1])
-    g_at_jump = g[idx - 1, cols] + frac * (g[idx, cols] - g[idx - 1, cols])
-    partial = 0.5 * (g_at_jump + g[idx, cols]) * (ygrid[idx] - jumps)
-    return base + tail[idx, cols] + partial
-
-
-def _time_blocks(obs_i: np.ndarray, first: np.ndarray, limit: int) -> list[int]:
+def _time_blocks(
+    obs_i: np.ndarray, first: np.ndarray, n: int, slots: int, limit: int
+) -> tuple[list[int], np.ndarray]:
     """Split the sorted interior times into consecutive blocks.
 
     ``first[k]:first[k + 1]`` indexes the scored subjects ``obs_i`` at time
-    k.  A block ends before the time that would score one of its subjects a
-    second time, and after ``limit`` times.  Returns the block starts, with
-    the number of times appended.
+    k.  A block ends before the time that would score one of its subjects
+    ``slots + 1`` times, and after ``limit`` times.  Returns the block
+    starts, with the number of times appended, and each scored
+    observation's slot: how often its subject was scored earlier in the
+    block.
     """
     starts = [0]
-    seen: set[int] = set()
+    count = np.zeros(n, dtype=np.intp)
+    slot = np.empty(obs_i.size, dtype=np.intp)
     for k in range(first.size - 1):
-        subjects = obs_i[first[k] : first[k + 1]].tolist()
-        if k - starts[-1] == limit or not seen.isdisjoint(subjects):
+        subjects = obs_i[first[k] : first[k + 1]]
+        if k - starts[-1] == limit or np.any(count[subjects] == slots):
             starts.append(k)
-            seen = set()
-        seen.update(subjects)
+            count[:] = 0
+        slot[first[k] : first[k + 1]] = count[subjects]
+        count[subjects] += 1
     starts.append(first.size - 1)
-    return starts
+    return starts, slot
 
 
 def _cv_values(
@@ -183,10 +174,11 @@ def _cv_values(
         raise DomainError(f"h_max must lie in (0, 0.5), got {h_max!r}")
     # Padded rows of time, value and weight 1/m_i.  Padding sits at t = 2,
     # outside every kernel window (h_t < 0.5), so its time weights are 0.
+    n, gy = sample.n, _Y_GRID_SIZE
     m_max = max(t.size for t in sample.times)
-    times = np.full((sample.n, m_max), 2.0)
-    vals = np.zeros((sample.n, m_max))
-    wts = np.zeros((sample.n, m_max))
+    times = np.full((n, m_max), 2.0)
+    vals = np.zeros((n, m_max))
+    wts = np.zeros((n, m_max))
     for i, (t, v) in enumerate(zip(sample.times, sample.values)):
         times[i, : t.size] = t
         vals[i, : t.size] = v
@@ -199,49 +191,99 @@ def _cv_values(
     order = np.argsort(obs_k, kind="stable")
     obs_i, obs_k, jumps = obs_i[order], obs_k[order], vals[obs_i, obs_j][order]
     first = np.searchsorted(obs_k, np.arange(interior.size + 1))
-    starts = _time_blocks(obs_i, first, m_max)
 
     groups: dict[float, list[int]] = {}
     for idx, bw in enumerate(pairs):
         groups.setdefault(bw.h_y, []).append(idx)
+    width = max(len(idxs) for idxs in groups.values())
+    # A block stages its time weights and then its own sums and leave-out
+    # numerators in the two halves of a spare buffer as large as H; so that
+    # they fit, it scores a subject at most ``slots`` times and holds at most
+    # ``limit`` times.
+    slots = max(1, m_max // (2 * width))
+    limit = max(1, gy // (2 * width))
+    half = max(-(-n * m_max * gy // 2), n * slots * width * gy, limit * width * n * m_max)
+    spare = np.empty(2 * half)
+    lo, hi = spare[:half], spare[half:]
+    starts, obs_l = _time_blocks(obs_i, first, n, slots, limit)
 
     allv = np.concatenate(sample.values)
     totals = [0.0] * len(pairs)
-    # H of every padded observation, and its argument, reused for every h_y
-    arg = np.empty((sample.n, m_max, _Y_GRID_SIZE))
-    hu = np.empty_like(arg)
+    # H of every padded observation, reused for every h_y; its argument goes
+    # in the spare buffer
+    hu = np.empty((n, m_max, gy))
+    arg = spare[: hu.size].reshape(hu.shape)
     for h_y, idxs in groups.items():
-        ygrid = np.linspace(allv.min() - h_y, allv.max() + h_y, _Y_GRID_SIZE)
+        ygrid = np.linspace(allv.min() - h_y, allv.max() + h_y, gy)
         np.subtract(ygrid, vals[:, :, None], out=arg)
         arg /= h_y
         kernel.cdf(arg, out=hu)
+        # The split trapezoid of (1{Y <= y} - f(y))^2 is f^2.tw + (ygrid[-1] - Y) - f.lam,
+        # with tw the trapezoid weights.  Y lies in cell c, (ygrid[c - 1], ygrid[c]], a
+        # fraction r of the way up, and d = ygrid[c] - Y.  lam is 2 tw above c, and
+        # d (1 - r) at c - 1 and dy[c] + d (1 + r) at c, where the cell is split.
+        dy = np.append(np.diff(ygrid), 0.0)
+        tw = 0.5 * (dy + np.roll(dy, 1))
+        cell = np.clip(np.searchsorted(ygrid, jumps), 1, gy - 1)
+        frac = (jumps - ygrid[cell - 1]) / (ygrid[cell] - ygrid[cell - 1])
+        d = ygrid[cell] - jumps
+        split = np.stack([d * (1.0 - frac), dy[cell] + d * (1.0 + frac)], axis=1)
+        offset = float(np.sum(ygrid[-1] - jumps))
         h_ts = np.array([pairs[i].h_t for i in idxs])
+        p = h_ts.size
         for s, e in zip(starts[:-1], starts[1:]):
             tb = interior[s:e]
-            # time weights of every pair at every block time, (P, B, n, m_max);
-            # the argument is clipped in place and dropped
-            a = (tb[:, None, None] - times) / h_ts[:, None, None, None]
-            a = kernel.density(a, out=np.empty_like(a))
-            a *= wts
-            p, b, n, w = a.shape
-            full = (a.reshape(p * b, -1) @ hu.reshape(-1, _Y_GRID_SIZE)).reshape(p, b, -1)
-            # the block's scored observations: subject bi at block time bk, each subject once
+            b = tb.size
+            # the block's scored observations: subject bi at block time bk, in slot bl
             sel = slice(first[s], first[e])
-            bi, bk = obs_i[sel], obs_k[sel] - s
-            own_a = np.zeros((n, p, w))
-            own_a[bi] = a[:, bk, bi].transpose(1, 0, 2)  # weights at the subject's scored time
-            own = own_a @ hu  # (n, P, Gy), per-subject numerator sums
+            bi, bk, bl = obs_i[sel], obs_k[sel] - s, obs_l[sel]
+            used = int(bl.max()) + 1
+            # time weights of every pair at every block time, (B, P, n, m_max)
+            u = hi[: b * p * n * m_max].reshape(b, p, n, m_max)
+            np.subtract(tb[:, None, None, None], times, out=u)
+            u /= h_ts[:, None, None]
+            a = kernel.density(u, out=lo[: u.size].reshape(u.shape))
+            a *= wts
+            full = (a.reshape(b * p, -1) @ hu.reshape(-1, gy)).reshape(b, p, gy)
             mass = a.sum(axis=3)
-            denom = mass.sum(axis=2)[:, bk] - mass[:, bk, bi]  # (P, K)
-            for q, idx in enumerate(idxs):
-                if np.any(denom[q] <= 0.0):
-                    bad = np.flatnonzero(denom[q] <= 0.0)[0]
-                    raise InsufficientDataError(
-                        f"no observations within h_t={pairs[idx].h_t!r} of t={float(tb[bk[bad]])!r} "
-                        f"after leaving out subject {sample.ids[bi[bad]]!r}"
-                    )
-                f_loo = (full[q, bk] - own[bi, q]) / denom[q, :, None]
-                totals[idx] += float(_sq_error_integrals(ygrid, f_loo.T, jumps[sel]).sum())
+            denom = mass.sum(axis=2)[bk] - mass[bk, :, bi]  # (K, P)
+            bad = denom <= 0.0
+            if bad.any():
+                # the earliest time, then the first pair, then the first subject
+                now = bk == bk[np.argmax(bad.any(axis=1))]
+                q = int(np.argmax(bad[now].any(axis=0)))
+                k = np.flatnonzero(now & bad[:, q])[0]
+                raise InsufficientDataError(
+                    f"no observations within h_t={pairs[idxs[q]].h_t!r} of t={float(tb[bk[k]])!r} "
+                    f"after leaving out subject {sample.ids[bi[k]]!r}"
+                )
+            # weights of each (subject, slot) at the time where the slot scores
+            own_a = hi[: n * used * p * m_max].reshape(n, used, p, m_max)
+            own_a.fill(0.0)
+            own_a[bi, bl] = a[bk, :, bi]
+            own = lo[: n * used * p * gy].reshape(n, used * p, gy)
+            np.matmul(own_a.reshape(n, used * p, m_max), hu, out=own)
+            # leave-out numerators f * denom of every (subject, slot); unused slots weigh 0
+            rows = bi * used + bl
+            at = np.zeros(n * used, dtype=np.intp)
+            at[rows] = bk
+            num = hi[: n * used * p * gy].reshape(n * used, p, gy)
+            np.take(full, at, axis=0, out=num, mode="clip")  # "raise" would buffer num
+            num -= own.reshape(num.shape)
+            inv = np.zeros((n * used, p))
+            inv[rows] = 1.0 / denom
+            c = np.full(n * used, gy - 1)
+            c[rows] = cell[sel]
+            lam = (np.arange(gy) > c[:, None]) * (2.0 * tw)
+            lam[rows, cell[sel] - 1] = split[sel, 0]
+            lam[rows, cell[sel]] = split[sel, 1]
+            lin = (num @ lam[:, :, None])[..., 0]
+            np.square(num, out=num)
+            score = ((num @ tw) * inv - lin) * inv
+            for idx, v in zip(idxs, score.sum(axis=0)):
+                totals[idx] += float(v)
+        for idx in idxs:
+            totals[idx] += offset
     return totals
 
 

@@ -133,12 +133,17 @@ def empirical_ranks(source, eval_grid=None) -> RankTrajectories:
         eval_grid = np.atleast_1d(np.asarray(eval_grid, dtype=float))
         cols = match_grid(grid, eval_grid)
     n = len(ids)
-    out = np.empty((n, cols.size))
-    for g, c in enumerate(cols):
-        v = vals[:, c]
-        sv = np.sort(v)
-        out[:, g] = (np.searchsorted(sv, v, side="right") - 1) / n
-    return RankTrajectories(list(ids), eval_grid, out, "empirical")
+    v = vals.T[cols]  # one row per grid point
+    order = np.argsort(v, axis=1)
+    v = np.take_along_axis(v, order, axis=1)
+    # a sorted value's count at or below, less one, is the position of the
+    # last value equal to it: the next tie-group end at or after it
+    rank = np.empty(v.shape)
+    rank[:] = np.arange(n) / n
+    rank[:, :-1][v[:, 1:] == v[:, :-1]] = np.inf
+    np.minimum.accumulate(rank[:, ::-1], axis=1, out=rank[:, ::-1])
+    np.put_along_axis(v, order, rank, axis=1)
+    return RankTrajectories(list(ids), eval_grid, v.T, "empirical")
 
 
 def _check_interior(t: float, h_t: float, allow_boundary: bool):
@@ -157,28 +162,36 @@ def _trimmed_grid(eval_grid: np.ndarray, trim: float) -> np.ndarray:
     return trimmed
 
 
-def _estimates(sample, kernel: Kernel, bandwidths, ts, yq, strict: bool = True):
+def _estimates(
+    sample, kernel: Kernel, bandwidths, ts, yq, strict: bool = True, partials: bool = True
+):
     """(F, D1, D2), each (Q, T), per bandwidth pair from one engine call.
 
     F = Q1/Q2 is the cdf estimate and D1, D2 its time and value partials;
-    ``ts`` and ``yq`` are as in ``_engine.qbar_grid``.  A time without data
-    within h_t raises, naming the first such time; with strict=False its
-    columns are NaN.
+    ``ts`` and ``yq`` are as in ``_engine.qbar_grid``.  With partials=False
+    the engine skips what only D1 and D2 need, and they are None.  A time
+    without data within h_t raises, naming the first such time; with
+    strict=False its columns are NaN.
     """
     pairs = [(bw.h_y, bw.h_t) for bw in bandwidths]
-    qs = _engine.qbar_grid(_engine.flatten_sample(sample), kernel, pairs, ts, yq)
-    empty = np.array([q2 for _, q2, _, _, _ in qs]) <= 0.0
+    qs = _engine.qbar_grid(_engine.flatten_sample(sample), kernel, pairs, ts, yq, partials)
+    empty = np.array([q[1] for q in qs]) <= 0.0
     if strict and empty.any():
         j, p = np.argwhere(empty.T)[0]
         raise InsufficientDataError(
             f"no observations within h_t={pairs[p][1]!r} of t={float(ts[j])!r}"
         )
     out = []
-    for (q1, q2, q3, q4, q5), gap in zip(qs, empty):
+    for (q1, q2, *rest), gap in zip(qs, empty):
         q2 = np.where(gap, np.nan, q2)
         # numerator <= denominator holds mathematically (H <= 1 with equal weights);
         # enforce it so saturated queries give exactly 1 despite summation-order dust
-        out.append((np.minimum(q1, q2) / q2, q3 / q2 - q1 * q4 / (q2 * q2), q5 / q2))
+        f = np.minimum(q1, q2) / q2
+        if partials:
+            q3, q4, q5 = rest
+            out.append((f, q3 / q2 - q1 * q4 / (q2 * q2), q5 / q2))
+        else:
+            out.append((f, None, None))
     return out
 
 
@@ -196,7 +209,7 @@ def smooth_cdf(
     [0, 1] for cdf-type integrated kernels); downstream reports clamp.
     """
     _check_interior(t, bw.h_t, allow_boundary)
-    [(f, _, _)] = _estimates(sample, kernel, [bw], [t], [[y]])
+    [(f, _, _)] = _estimates(sample, kernel, [bw], [t], [[y]], partials=False)
     return float(f[0, 0])
 
 
@@ -217,6 +230,8 @@ def smooth_ranks(
     if eval_grid is None:
         eval_grid = grid
     trimmed = _trimmed_grid(np.atleast_1d(np.asarray(eval_grid, dtype=float)), bw.h_t)
-    [(f, _, _)] = _estimates(source, kernel, [bw], trimmed, vals[:, match_grid(grid, trimmed)])
+    [(f, _, _)] = _estimates(
+        source, kernel, [bw], trimmed, vals[:, match_grid(grid, trimmed)], partials=False
+    )
     np.clip(f, 0.0, 1.0, out=f)
     return RankTrajectories(list(ids), trimmed, f, "smooth")

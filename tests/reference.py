@@ -104,6 +104,55 @@ def naive_cv_objective(times, values, h_y, h_t, h_max, n_y=2001):
     return total
 
 
+def grid_cv_objective(times, values, h_y, h_t, h_max, kernel="epanechnikov", n_y=201):
+    """Leave-one-subject-out CV on the package's y-grid rule, by direct sums.
+
+    The y-grid is ``n_y`` points over [min Y - h_y, max Y + h_y].  For each
+    scored value Y, the leave-out cdf f is built one grid point at a time
+    from the other subjects' observations (pointwise H).  The squared error
+    int (1{Y <= y} - f)^2 dy is taken as int f^2 dy + int_Y (1 - 2f) dy: a
+    trapezoid over the whole grid for the first, and for the second the
+    trapezoid over the cells above Y's cell plus the part of Y's cell above
+    Y, with 1 - 2f interpolated linearly at Y.
+    """
+    k, h, _ = KERNELS[kernel]
+    n = len(times)
+    allv = [v for row in values for v in row]
+    lo, hi = min(allv) - h_y, max(allv) + h_y
+    step = (hi - lo) / (n_y - 1)
+    ys = [lo + q * step for q in range(n_y - 1)] + [hi]
+    total = 0.0
+    for i in range(n):
+        for t0, y0 in zip(times[i], values[i]):
+            if not (h_max < t0 < 1.0 - h_max):
+                continue
+            near = [
+                (k((t0 - t) / h_t) / len(times[l]), y)
+                for l in range(n)
+                if l != i
+                for t, y in zip(times[l], values[l])
+            ]
+            mass = sum(w for w, _ in near)
+            f = [sum(w * h((yg - y) / h_y) for w, y in near) / mass for yg in ys]
+            g = [1.0 - 2.0 * fv for fv in f]
+            c = next(q for q, yg in enumerate(ys) if yg >= y0)
+            r = (y0 - ys[c - 1]) / (ys[c] - ys[c - 1])
+            g0 = g[c - 1] + r * (g[c] - g[c - 1])
+            above = 0.5 * (g0 + g[c]) * (ys[c] - y0) + trapezoid(ys[c:], g[c:])
+            total += trapezoid(ys, [fv * fv for fv in f]) + above
+    return total
+
+
+def naive_empirical_ranks(matrix):
+    """(count of subjects at or below, less the subject itself) / n, one column at a time."""
+    n = len(matrix)
+    cols = len(matrix[0])
+    return [
+        [(sum(1 for k in range(n) if matrix[k][g] <= matrix[i][g]) - 1) / n for g in range(cols)]
+        for i in range(n)
+    ]
+
+
 def trapezoid(xs, fs) -> float:
     acc = 0.0
     for a, b, fa, fb in zip(xs, xs[1:], fs, fs[1:]):

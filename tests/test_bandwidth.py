@@ -9,18 +9,18 @@ from rankdyn.kernels import BIWEIGHT, EPANECHNIKOV
 from rankdyn.ranks import Bandwidths
 from rankdyn.sample import FunctionalSample
 from rankdyn.simulation import SimModel, basis_matrix
-from reference import epan_h, naive_cv_objective, trapezoid
+from reference import epan_h, grid_cv_objective, naive_cv_objective, trapezoid
 
 
-def ragged_sample(n: int, seed: int) -> FunctionalSample:
-    """Verification-model curves on one jittered grid per subject, m_i in 25..40.
+def ragged_sample(n: int, seed: int, m_lo: int = 25, m_hi: int = 40) -> FunctionalSample:
+    """Verification-model curves on one jittered grid per subject, m_i in m_lo..m_hi.
 
     Every observation time is distinct, so consecutive interior times score
     different subjects and CV blocks span several times.
     """
     rng = np.random.default_rng(seed)
     model = SimModel()
-    sizes = rng.permutation([25 + (15 * i) // (n - 1) for i in range(n)])
+    sizes = rng.permutation([m_lo + ((m_hi - m_lo) * i) // (n - 1) for i in range(n)])
     times = [(np.arange(m) + rng.uniform(0.05, 0.95, m)) / m for m in sizes]
     xi = rng.normal(model.means, model.sds, size=(n, 5))
     values = [basis_matrix(t)[0] @ x for t, x in zip(times, xi)]
@@ -180,6 +180,19 @@ class TestCvObjective:
         with pytest.raises(InsufficientDataError, match=r"t=0\.5 after leaving out subject 'a'"):
             cv_objective(s, Bandwidths(0.5, 0.2), h_max=0.25)
 
+    def test_earliest_failing_time_is_named_before_pair_order(self):
+        # One h_y, larger h_t first.  Leaving out a, h_t = 0.1 has no data at
+        # t = 0.35 (b's 0.2 is 0.15 away), and h_t = 0.2 has none at t = 0.55
+        # (b's 0.78 is 0.23 away).  Both times score a, in two slots of one block.
+        s = FunctionalSample(
+            ["a", "b"],
+            [np.array([0.05, 0.12, 0.19, 0.35, 0.55, 0.75, 0.88, 0.95]), np.array([0.2, 0.78, 0.9])],
+            [np.linspace(0.0, 1.0, 8), np.array([0.5, 0.4, 0.3])],
+        )
+        grid = BandwidthGrid([Bandwidths(0.5, 0.2), Bandwidths(0.5, 0.1)])
+        with pytest.raises(InsufficientDataError, match=r"h_t=0\.1 of t=0\.35 after leaving out subject 'a'"):
+            select_bandwidths(s, grid)
+
     def test_two_subjects_allowed_one_rejected(self):
         grid = np.linspace(0, 1, 11)
         pair = FunctionalSample.from_matrix(grid, np.vstack([np.zeros(11), np.ones(11)]))
@@ -191,6 +204,54 @@ class TestCvObjective:
     def test_h_max_validation(self, tiny_sample):
         with pytest.raises(DomainError):
             cv_objective(tiny_sample, Bandwidths(0.5, 0.2), h_max=0.6)
+
+
+def _shift_first(sample: FunctionalSample, by: float) -> FunctionalSample:
+    values = [v + by if i == 0 else v.copy() for i, v in enumerate(sample.values)]
+    return FunctionalSample(list(sample.ids), [t.copy() for t in sample.times], values)
+
+
+class TestGridRuleOracle:
+    """select_bandwidths against direct sums on the same 201-point split trapezoid.
+
+    The grid has two h_t per h_y, so with m_max >= 8 a block may score a
+    subject in two or more slots.  The quadrature is the same on both sides,
+    so the values agree to rounding, and a slip in a split-cell weight of the
+    quadratic form shows.
+    """
+
+    GRID = BandwidthGrid(
+        [Bandwidths(h_y, h_t) for h_y in (1.4, 0.8) for h_t in (0.3, 0.2)]
+    )
+
+    @staticmethod
+    def shared():
+        rng = np.random.default_rng(5)
+        grid = np.linspace(0.0, 1.0, 11)
+        return FunctionalSample.from_matrix(grid, rng.normal(size=(4, 1)) + np.sin(3 * grid) * rng.normal(size=(4, 1)))
+
+    @staticmethod
+    def ragged():
+        sample = ragged_sample(5, seed=3, m_lo=8, m_hi=12)
+        interior = [int(np.sum((t > 0.3) & (t < 0.7))) for t in sample.times]
+        # slots per subject m_max // (2 * 2) >= 2, and subjects scored more than once
+        assert max(t.size for t in sample.times) >= 8 and min(interior) >= 2
+        return sample
+
+    @pytest.mark.parametrize("kernel", [EPANECHNIKOV, BIWEIGHT], ids=lambda k: k.name)
+    @pytest.mark.parametrize("case", ["shared", "ragged", "ragged_shift_500"])
+    def test_matches_direct_sums(self, case, kernel):
+        sample = self.shared() if case == "shared" else self.ragged()
+        if case == "ragged_shift_500":
+            sample = _shift_first(sample, 500.0)
+        report = select_bandwidths(sample, self.GRID, kernel)
+        times = [list(t) for t in sample.times]
+        values = [list(v) for v in sample.values]
+        for entry in report.entries:
+            ref = grid_cv_objective(
+                times, values, entry.bw.h_y, entry.bw.h_t, self.GRID.h_max, kernel.name
+            )
+            assert entry.value == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestSelectBandwidths:
@@ -263,6 +324,20 @@ def test_peak_memory_is_two_kernel_cdf_buffers(sim200):
     tracemalloc.start()
     try:
         select_bandwidths(sample, BandwidthGrid.geometric())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * one
+
+
+def test_peak_memory_on_a_ragged_grid():
+    # the same bound as on the shared grid: a block's time weights, own sums
+    # and leave-out numerators live in the spare buffer, not beside it
+    sample = ragged_sample(60, seed=60)
+    one = sample.n * max(t.size for t in sample.times) * 201 * 8
+    tracemalloc.start()
+    try:
+        select_bandwidths(sample, BandwidthGrid.scaled_default(sample))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -18,7 +18,9 @@ from rankdyn.ranks import (
     smooth_ranks,
 )
 from rankdyn.sample import FunctionalSample, pooled_std, presmooth
-from reference import naive_smooth_cdf
+from rankdyn.kernels import BIWEIGHT, EPANECHNIKOV
+from rankdyn.ranks import _estimates
+from reference import naive_empirical_ranks, naive_smooth_cdf
 
 
 class TestBandwidths:
@@ -83,6 +85,22 @@ class TestEmpiricalRanks:
         s = FunctionalSample.from_matrix(grid, np.zeros((1, 5)))
         with pytest.raises(DataError):
             empirical_ranks(s)
+
+    def test_tie_heavy_columns_match_the_count_per_column(self):
+        # three levels over 40 subjects, signed zeros, whole tied columns and
+        # a requested grid that repeats and reorders points
+        rng = np.random.default_rng(11)
+        grid = np.linspace(0, 1, 9)
+        vals = rng.integers(-1, 2, size=(40, 9)).astype(float)
+        vals[rng.random(vals.shape) < 0.2] *= -1.0  # flips 0.0 to -0.0 too
+        vals[:, 4] = 2.5
+        vals[:7, 6] = -1e300
+        s = FunctionalSample.from_matrix(grid, vals)
+        rk = empirical_ranks(s)
+        assert np.array_equal(rk.ranks, np.array(naive_empirical_ranks(vals.tolist())))
+        pick = [8, 0, 4, 4, 2]
+        sub = empirical_ranks(s, eval_grid=grid[pick])
+        assert np.array_equal(sub.ranks, rk.ranks[:, pick])
 
     def test_off_grid_evaluation_rejected(self):
         with pytest.raises(EvaluationError):
@@ -182,6 +200,17 @@ class TestSmoothRanks:
         assert np.array_equal(rk.eval_grid, shuffled[np.isin(shuffled, ascending.eval_grid)])
         cols = np.searchsorted(ascending.eval_grid, rk.eval_grid)
         assert np.array_equal(rk.ranks, ascending.ranks[:, cols])
+
+    @pytest.mark.parametrize("kernel", [EPANECHNIKOV, BIWEIGHT], ids=lambda k: k.name)
+    def test_cdf_only_engine_call_matches_the_full_one(self, sim50, kernel):
+        # smooth_ranks asks the engine for F alone; the call that also builds
+        # the partials must give the same F
+        bw = Bandwidths(0.52, 0.0648)
+        rk = smooth_ranks(sim50.sample, bw, kernel=kernel)
+        vals = sim50.sample.value_matrix()[:, np.searchsorted(sim50.sample.shared_grid, rk.eval_grid)]
+        [(f, d1, _)] = _estimates(sim50.sample, kernel, [bw], rk.eval_grid, vals)
+        assert d1 is not None
+        np.testing.assert_allclose(rk.ranks, np.clip(f, 0.0, 1.0), rtol=0.0, atol=1e-14)
 
     def test_mean_rank_near_half(self, sim200):
         bw = default_bandwidths(sim200.sample)
