@@ -44,9 +44,15 @@ class UsageError(Exception):
     pass
 
 
-def _write_atomic(path: Path, text: str) -> None:
+# rows joined into one string per write: bounds the writer's memory, not its output
+_ROWS_PER_WRITE = 8192
+
+
+def _write_atomic(path: Path, parts) -> None:
+    """Write the strings of ``parts`` in order to ``path`` via a temp file and a rename."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines(parts)
     os.replace(tmp, path)
 
 
@@ -58,8 +64,17 @@ def _csv_field(text: str) -> str:
 
 
 def _fmt_column(x) -> list[str]:
-    """The elements of ``x`` as CSV fields: repr of each as a Python float."""
-    return list(map(repr, np.asarray(x, dtype=float).ravel().tolist()))
+    """The elements of ``x`` as CSV fields: repr of each as a Python float.
+
+    Each distinct float64 bit pattern is formatted once and its string
+    shared by every element that holds it; rank columns repeat a few
+    thousand values across hundreds of thousands of fields.  Keying on bits,
+    not values, keeps 0.0 and -0.0 apart.
+    """
+    x = np.asarray(x, dtype=np.float64).ravel()
+    bits, inverse = np.unique(x.view(np.uint64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return text[inverse].tolist()
 
 
 def _grid_table(ids: list[str], grid, *fields) -> list[list[str]]:
@@ -68,12 +83,18 @@ def _grid_table(ids: list[str], grid, *fields) -> list[list[str]]:
     return [id_col, _fmt_column(grid) * len(ids), *map(_fmt_column, fields)]
 
 
+def _csv_chunks(header: list[str], tables):
+    """The CSV text of the header and the tables' rows, a bounded number of rows at a time."""
+    yield ",".join(header) + "\n"
+    for columns in tables:
+        for a in range(0, len(columns[0]), _ROWS_PER_WRITE):
+            rows = zip(*[col[a:a + _ROWS_PER_WRITE] for col in columns])
+            yield "\n".join(map(",".join, rows)) + "\n"
+
+
 def _write_csv(path: Path, header: list[str], *tables: list[list[str]]) -> None:
     """Write tables of equal-length field columns, one after another, as one CSV."""
-    lines = [",".join(header)]
-    for columns in tables:
-        lines += map(",".join, zip(*columns))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    _write_atomic(path, _csv_chunks(header, tables))
 
 
 def _attr_columns(items, names: list[str]) -> list[list[str]]:
@@ -103,7 +124,7 @@ def _write_subject_summaries(path: Path, subs) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 @dataclass

@@ -6,9 +6,14 @@ in its own bin ((j-1)/m, j/m], or (permissive rule, needed for grids of the
 form {j/m : j = 0..m} that include t = 0) no gap between consecutive
 points, or between the domain edges and the extreme points, exceeds 2/m.
 
-Ingestion works on columns: the long CSV is parsed column by column, sorted
-with one lexsort and split into subjects, and each distinct observation
-grid is validated once, however many subjects share it.
+Ingestion works on columns.  Both loaders stream the reader's records into
+one flat field list plus a list of record widths, so no Python container
+per row stays alive, and parse each column with Python's ``float`` in one
+pass.  Only when a check fails are the records walked one by one, to name
+the first bad record.  The long format is then sorted with one lexsort and
+split into subjects, and each distinct observation grid is validated once,
+however many subjects share it.  Input is UTF-8, with or without a
+byte-order mark.
 
 Presmoothing fits a local quadratic with kernel weights around every point
 of a uniform evaluation grid; the intercept is the fitted value, the linear
@@ -176,12 +181,51 @@ class SmoothedSample:
 
 
 def _open_text(source):
+    """A text stream over ``source`` and a call that releases it; a caller's stream stays open."""
+    # utf-8-sig drops the byte-order mark that spreadsheet programs put first
     if hasattr(source, "read"):
-        probe = source.read(0)
-        if isinstance(probe, bytes):
-            return io.TextIOWrapper(source, encoding="utf-8"), False
-        return source, False
-    return open(source, "r", encoding="utf-8", newline=""), True
+        if isinstance(source.read(0), bytes):
+            fh = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+            return fh, fh.detach
+        return source, lambda: None
+    fh = open(source, "r", encoding="utf-8-sig", newline="")
+    return fh, fh.close
+
+
+def _read_records(source) -> tuple[list[str] | None, list[int], list[str]]:
+    """The header record, then the fields of all later records in one flat list.
+
+    Also returns each later record's width (0 for a blank record).  No list
+    per record outlives its turn, so the cyclic garbage collector has no
+    per-row containers to scan again and again while a large file is read.
+    """
+    fh, release = _open_text(source)
+    header = None
+    fields: list[str] = []
+    widths: list[int] = []
+    try:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        for record in reader:
+            widths.append(len(record))
+            fields += record
+    except UnicodeDecodeError:
+        raise CsvFormatError("input is not valid UTF-8") from None
+    except csv.Error as exc:   # e.g. an unclosed quote that runs past the field size limit
+        line_no = 1 if header is None else len(widths) + 2
+        raise CsvFormatError(f"line {line_no}: {exc}") from None
+    finally:
+        release()
+    return header, widths, fields
+
+
+def _records(widths: list[int], fields: list[str]):
+    """(line number, fields) of each non-blank record, in file order."""
+    start = 0
+    for line_no, width in enumerate(widths, start=2):
+        if width:
+            yield line_no, fields[start:start + width]
+        start += width
 
 
 def _parse_float(text: str, what: str, line_no: int) -> float:
@@ -194,16 +238,41 @@ def _parse_float(text: str, what: str, line_no: int) -> float:
     return x
 
 
+def _check_time(t: float, line_no: int) -> None:
+    if t < 0.0 or t > 1.0:
+        raise DomainError(f"line {line_no}: time {t!r} outside [0, 1]")
+
+
 def _check_record(row: list[str], line_no: int) -> None:
-    """Raise the first problem of one data record, its fields taken in order."""
+    """Raise the first problem of one long-format record, its fields taken in order."""
     if len(row) != 3:
         raise CsvFormatError(f"line {line_no}: expected 3 columns, got {len(row)}")
     if not row[0].strip():
         raise CsvFormatError(f"line {line_no}: empty subject id")
     t = _parse_float(row[1], "time", line_no)
     _parse_float(row[2], "value", line_no)
-    if t < 0.0 or t > 1.0:
-        raise DomainError(f"line {line_no}: time {t!r} outside [0, 1]")
+    _check_time(t, line_no)
+
+
+def _check_wide_record(row: list[str], width: int, line_no: int) -> None:
+    """Raise the first problem of one wide-format record: width, time, then values."""
+    if len(row) != width:
+        raise CsvFormatError(f"line {line_no}: expected {width} columns, got {len(row)}")
+    _check_time(_parse_float(row[0], "time", line_no), line_no)
+    for text in row[1:]:
+        _parse_float(text, "value", line_no)
+
+
+def _parse_columns(fields: list[str]) -> np.ndarray | None:
+    """The fields as float64 by Python's ``float``, or None if one does not parse."""
+    try:
+        return np.fromiter(map(float, fields), float, len(fields))
+    except ValueError:
+        return None
+
+
+def _finite_in_domain(t: np.ndarray, values: np.ndarray) -> bool:
+    return bool(np.all((t >= 0.0) & (t <= 1.0)) and np.all(np.isfinite(values)))
 
 
 def load_long_csv(source) -> FunctionalSample:
@@ -212,8 +281,8 @@ def load_long_csv(source) -> FunctionalSample:
     Parameters
     ----------
     source : path, text stream or binary stream
-        UTF-8 CSV with header ``id,time,value`` and ``.`` as the decimal
-        separator.
+        UTF-8 CSV, with or without a byte-order mark, with header
+        ``id,time,value`` and ``.`` as the decimal separator.
 
     Rows are grouped by id (subjects keep first-appearance order) and
     sorted by time within each subject.  Times must lie in [0, 1]; repeated
@@ -221,39 +290,20 @@ def load_long_csv(source) -> FunctionalSample:
     checked column by column; an error names the first bad record, counting
     blank records.
     """
-    fh, close = _open_text(source)
-    try:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header] != ["id", "time", "value"]:
-            raise CsvFormatError("expected header 'id,time,value'")
-        records = list(reader)
-    finally:
-        if close:
-            fh.close()
-    rows = [row for row in records if row]
-    if not rows:
+    header, widths, fields = _read_records(source)
+    if header is None or [c.strip().lower() for c in header] != ["id", "time", "value"]:
+        raise CsvFormatError("expected header 'id,time,value'")
+    if not fields:
         raise CsvFormatError("no data rows found")
-    good = set(map(len, rows)) == {3}
-    if good:
-        sid_text, t_text, v_text = zip(*rows)
-        sids = list(map(str.strip, sid_text))
-        try:
-            t = np.fromiter(map(float, t_text), float, len(rows))
-            v = np.fromiter(map(float, v_text), float, len(rows))
-        except ValueError:
-            good = False
-        else:
-            good = "" not in sids and bool(
-                np.all(np.isfinite(t) & np.isfinite(v) & (t >= 0.0) & (t <= 1.0))
-            )
-        del sid_text, t_text, v_text
-    if not good:
+    t = v = None
+    if set(widths) <= {0, 3}:
+        sids = list(map(str.strip, fields[0::3]))
+        t, v = _parse_columns(fields[1::3]), _parse_columns(fields[2::3])
+    if t is None or v is None or "" in sids or not _finite_in_domain(t, v):
         # some record is bad: find the first one, numbered as read
-        for line_no, row in enumerate(records, start=2):
-            if row:
-                _check_record(row, line_no)
-    del records, rows
+        for line_no, record in _records(widths, fields):
+            _check_record(record, line_no)
+    del fields
     ids = list(dict.fromkeys(sids))   # first-appearance order
     code = {sid: i for i, sid in enumerate(ids)}
     subject = np.fromiter(map(code.__getitem__, sids), np.intp, len(sids))
@@ -269,38 +319,29 @@ def load_long_csv(source) -> FunctionalSample:
 
 
 def load_wide_csv(source) -> FunctionalSample:
-    """Read a wide-format CSV (``time,id1,id2,...``), one column per subject."""
-    fh, close = _open_text(source)
-    try:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 2 or header[0].strip().lower() != "time":
-            raise CsvFormatError("expected header 'time,<id>,<id>,...'")
-        ids = [c.strip() for c in header[1:]]
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    f"line {line_no}: expected {len(header)} columns, got {len(row)}"
-                )
-            t = _parse_float(row[0], "time", line_no)
-            if t < 0.0 or t > 1.0:
-                raise DomainError(f"line {line_no}: time {t!r} outside [0, 1]")
-            vals = [_parse_float(c, "value", line_no) for c in row[1:]]
-            rows.append((t, vals))
-    finally:
-        if close:
-            fh.close()
-    if not rows:
+    """Read a wide-format CSV (``time,id1,id2,...``), one column per subject.
+
+    It is read like the long format: all fields parsed at once, and only on
+    failure checked record by record, so an error names the first bad record.
+    """
+    header, widths, fields = _read_records(source)
+    if header is None or len(header) < 2 or header[0].strip().lower() != "time":
+        raise CsvFormatError("expected header 'time,<id>,<id>,...'")
+    ids = [c.strip() for c in header[1:]]
+    width = len(header)
+    if not fields:
         raise CsvFormatError("no data rows found")
-    rows.sort(key=lambda r: r[0])
-    grid = np.array([r[0] for r in rows])
+    table = _parse_columns(fields) if set(widths) <= {0, width} else None
+    if table is None or not _finite_in_domain(table[0::width], table):
+        for line_no, record in _records(widths, fields):
+            _check_wide_record(record, width, line_no)
+    del fields
+    table = table.reshape(-1, width)
+    order = np.argsort(table[:, 0], kind="stable")
+    grid = table[order, 0]
     if np.any(np.diff(grid) == 0.0):
         raise DuplicateTimeError("duplicate time rows in wide CSV")
-    matrix = np.array([r[1] for r in rows]).T
-    return FunctionalSample.from_matrix(grid, matrix, ids=ids)
+    return FunctionalSample.from_matrix(grid, table[order, 1:].T, ids=ids)
 
 
 def pooled_std(sample: FunctionalSample) -> float:

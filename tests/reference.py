@@ -6,7 +6,11 @@ shared tensors, its own kernel arithmetic.  Deliberately slow and
 deliberately independent of the package's vectorized paths.
 """
 
+import csv
+import io
 import math
+
+from rankdyn.errors import CsvFormatError, DomainError, DuplicateTimeError
 
 
 def epan_k(u: float) -> float:
@@ -186,6 +190,54 @@ def naive_presmooth(t_obs, y_obs, h_d, grid, kernel="epanechnikov"):
         values.append(beta[0])
         slopes.append(beta[1] / h_d)
     return values, slopes
+
+
+# Long-format CSV input read one record at a time.
+
+def naive_load_long_csv(text: str):
+    """(ids, times, values) of a long-format CSV text, as Python lists.
+
+    Each record is checked as it is read (width, id, time, value, then the
+    time's domain), raising the loader's error types and messages; subjects
+    keep first-appearance order and are sorted by time.
+    """
+    records = list(csv.reader(io.StringIO(text, newline="")))
+    if not records or [c.strip().lower() for c in records[0]] != ["id", "time", "value"]:
+        raise CsvFormatError("expected header 'id,time,value'")
+    subjects = {}
+    for line_no, record in enumerate(records[1:], start=2):
+        if not record:
+            continue
+        if len(record) != 3:
+            raise CsvFormatError(f"line {line_no}: expected 3 columns, got {len(record)}")
+        sid = record[0].strip()
+        if not sid:
+            raise CsvFormatError(f"line {line_no}: empty subject id")
+        numbers = []
+        for what, text_field in (("time", record[1]), ("value", record[2])):
+            try:
+                x = float(text_field)
+            except ValueError:
+                raise CsvFormatError(f"line {line_no}: cannot parse {what} {text_field!r}") from None
+            if not math.isfinite(x):
+                raise CsvFormatError(f"line {line_no}: non-finite {what} {text_field!r}")
+            numbers.append(x)
+        t, v = numbers
+        if t < 0.0 or t > 1.0:
+            raise DomainError(f"line {line_no}: time {t!r} outside [0, 1]")
+        subjects.setdefault(sid, []).append((t, v))
+    if not subjects:
+        raise CsvFormatError("no data rows found")
+    ids, times, values = [], [], []
+    for sid, pairs in subjects.items():
+        pairs.sort()
+        for a, b in zip(pairs, pairs[1:]):
+            if a[0] == b[0]:
+                raise DuplicateTimeError(f"subject {sid!r} has duplicate (id, time) rows")
+        ids.append(sid)
+        times.append([t for t, _ in pairs])
+        values.append([v for _, v in pairs])
+    return ids, times, values
 
 
 # CSV output written one row at a time, as the command-line writer did first.

@@ -260,6 +260,25 @@ class TestWriterMatchesRowByRowOracle:
         cli._write_subject_summaries(tmp_path / "subject_summaries.csv", subs)
         self._check(tmp_path / "subject_summaries.csv", naive_subject_summaries_csv(subs))
 
+    def test_signed_zeros_repeats_and_subnormals(self, tmp_path):
+        # each column mixes 0.0 and -0.0 with repeated values and subnormals
+        c1 = np.array([[0.0, -0.0, 5e-324], [-0.0, self.THIRD, 0.0], [5e-324, -5e-324, self.THIRD]])
+        dec = DecompositionResult(self.IDS, [0.2, 0.5, 0.8], c1, -c1, c1 * 0.0)
+        cli._write_decomposition(tmp_path / "decomposition.csv", dec)
+        self._check(tmp_path / "decomposition.csv", naive_decomposition_csv(dec))
+        c1_fields = [row[2] for row in _read_csv(tmp_path / "decomposition.csv")[1][3:6]]
+        assert c1_fields == ["-0.0", "0.3333333333333333", "0.0"]
+
+    def test_tables_longer_than_one_write(self, tmp_path):
+        rng = np.random.default_rng(4)
+        n, g = 90, 101
+        assert n * g > cli._ROWS_PER_WRITE
+        sets = [RankTrajectories([f"s{i}" for i in range(n)], np.linspace(0.0, 1.0, g),
+                                 np.round(rng.uniform(size=(n, g)), 3), method)
+                for method in ("empirical", "smooth")]
+        cli._write_ranks(tmp_path / "ranks.csv", sets)
+        self._check(tmp_path / "ranks.csv", naive_ranks_csv(sets))
+
     def test_commands_write_what_the_oracle_formats(self, odd_ids_csv, tmp_path):
         bw = Bandwidths(0.8, 0.2)
         sample = load_long_csv(odd_ids_csv)
@@ -312,6 +331,18 @@ class TestExitCodes:
         bad = tmp_path / "bad.csv"
         bad.write_text("id,time,value\na,2.5,1.0\n")
         assert main(["ranks", "--input", str(bad), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("wide, text", [
+        (False, b"id,time,value\ncaf\xe9,0.5,1.0\n"),
+        (True, b"time,caf\xe9,b\n0.5,1.0,2.0\n"),
+    ])
+    def test_non_utf8_input_is_data_error(self, wide, text, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(text)
+        args = ["ranks", "--input", str(bad), "--out", str(tmp_path / "o")] + ["--wide"] * wide
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "not valid UTF-8" in err and "Traceback" not in err
 
     def test_unknown_flag_is_usage_error(self):
         assert main(["ranks", "--nonsense"]) == 2

@@ -1,3 +1,5 @@
+import codecs
+import gc
 import io
 
 import numpy as np
@@ -75,6 +77,12 @@ class TestLoadLongCsv:
         s = load_long_csv(raw)
         assert s.n == 1 and s.values[0].tolist() == [1.0, 2.0]
 
+    def test_byte_stream_is_left_open(self):
+        raw = io.BytesIO(b"id,time,value\na,0.25,1.0\na,0.75,2.0\n")
+        load_long_csv(raw)
+        gc.collect()   # a dropped wrapper that still owned the stream would close it
+        assert not raw.closed
+
     def test_first_bad_record_wins_over_a_later_one(self):
         # a bad value on record 3 comes before the wrong column count on record 5
         text = "id,time,value\na,0.1,1.0\na,0.5,oops\na,0.9,3.0\nb,0.5\n"
@@ -117,6 +125,85 @@ class TestLoadLongCsv:
         assert s.times[0].tolist() == [0.25, 0.75] and s.values[0].tolist() == [3.0, 4.0]
         assert s.times[1].tolist() == [0.1, 0.5, 0.9] and s.values[1].tolist() == [0.0, 1.0, 2.0]
         assert s.shared_grid is None
+
+    def test_unclosed_quote_is_a_format_error(self):
+        # the open quote swallows the rest of the file into one oversized field
+        text = 'id,time,value\na,0.5,1.0\n"b,0.5,1.0\n' + "c,0.5,1.0\n" * 20000
+        with pytest.raises(CsvFormatError, match="line 3: field larger than field limit"):
+            load_long_csv(_csv(text))
+
+
+class TestLoadWideCsv:
+    def test_rows_are_sorted_by_time(self):
+        s = load_wide_csv(_csv("time,a,b\n0.75,2,4\n\n0.25, 1 ,3\n"))
+        assert s.ids == ["a", "b"]
+        assert s.shared_grid.tolist() == [0.25, 0.75]
+        assert s.value_matrix().tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_wrong_column_count_names_the_line(self):
+        with pytest.raises(CsvFormatError, match="line 3: expected 3 columns, got 2"):
+            load_wide_csv(_csv("time,a,b\n0.25,1,2\n0.75,1\n"))
+
+    def test_unparseable_time(self):
+        with pytest.raises(CsvFormatError, match="line 2: cannot parse time 'zero'"):
+            load_wide_csv(_csv("time,a\nzero,1\n"))
+
+    def test_time_outside_domain_comes_before_a_bad_value(self):
+        with pytest.raises(DomainError, match="line 2: time 1.5 outside"):
+            load_wide_csv(_csv("time,a,b\n1.5,x,1\n"))
+
+    def test_non_finite_value_names_the_line(self):
+        with pytest.raises(CsvFormatError, match="line 3: non-finite value 'nan'"):
+            load_wide_csv(_csv("time,a,b\n0.25,1,2\n0.75,3,nan\n"))
+
+    def test_first_bad_record_wins_over_a_later_one(self):
+        text = "time,a,b\n0.25,1,oops\n0.5,1,2\n0.75,1\n"
+        with pytest.raises(CsvFormatError, match="line 2: cannot parse value 'oops'"):
+            load_wide_csv(_csv(text))
+
+    def test_record_numbers_count_blank_records(self):
+        with pytest.raises(CsvFormatError, match="line 5: non-finite time 'inf'"):
+            load_wide_csv(_csv("time,a\n\n0.25,1\n\ninf,2\n"))
+
+    def test_duplicate_time_rows(self):
+        with pytest.raises(DuplicateTimeError):
+            load_wide_csv(_csv("time,a\n0.5,1\n0.5,2\n"))
+
+    def test_bad_header_and_no_rows(self):
+        with pytest.raises(CsvFormatError, match="header"):
+            load_wide_csv(_csv("t,a\n0.5,1\n"))
+        with pytest.raises(CsvFormatError, match="no data rows"):
+            load_wide_csv(_csv("time,a\n\n"))
+
+
+class TestEncoding:
+    LONG = "id,time,value\nb,0.75,4.0\na,0.25,1.0\na,0.75,2.0\nb,0.25,3.0\n"
+    WIDE = "time,a,b\n0.75,2.0,4.0\n0.25,1.0,3.0\n"
+
+    @pytest.mark.parametrize("load, text", [(load_long_csv, LONG), (load_wide_csv, WIDE)])
+    def test_byte_order_mark_is_ignored(self, load, text, tmp_path):
+        raw = text.encode("utf-8")
+        loaded = []
+        for k, data in enumerate([raw, codecs.BOM_UTF8 + raw]):
+            path = tmp_path / f"in{k}.csv"
+            path.write_bytes(data)
+            loaded += [load(str(path)), load(io.BytesIO(data))]
+        first = loaded[0]
+        for s in loaded[1:]:
+            assert s.ids == first.ids
+            for a, b in zip(s.times + s.values, first.times + first.values):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("load, raw", [
+        (load_long_csv, b"id,time,value\nb\xe9,0.5,1.0\n"),
+        (load_wide_csv, b"time,a\n0.5,1.0\n0.75,\xff\n"),
+    ])
+    def test_non_utf8_bytes_are_a_format_error(self, load, raw, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(raw)
+        for source in (str(path), io.BytesIO(raw)):
+            with pytest.raises(CsvFormatError, match="not valid UTF-8"):
+                load(source)
 
 
 def test_load_wide_matches_long():
