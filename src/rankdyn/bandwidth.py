@@ -83,20 +83,12 @@ class BandwidthGrid:
         return max(bw.h_t for bw in self.pairs)
 
     @classmethod
-    def geometric(
-        cls,
-        h_y_max: float = 2.4,
-        h_t_max: float = 0.3,
-        factor: float = 0.6,
-        steps: int = 4,
-    ) -> "BandwidthGrid":
-        """{(h_y_max f^u, h_t_max f^v) : u, v = 0..steps-1}."""
-        if not 0 < factor < 1:
-            raise DomainError("factor must lie in (0, 1)")
+    def geometric(cls, h_y_max: float = 2.4, steps: int = 4) -> "BandwidthGrid":
+        """{(h_y_max 0.6^u, 0.3 0.6^v) : u, v = 0..steps-1}; see ``scaled_default``."""
         if steps < 1:
             raise DomainError("steps must be at least 1")
         pairs = [
-            Bandwidths(h_y_max * factor**u, h_t_max * factor**v)
+            Bandwidths(h_y_max * 0.6**u, 0.3 * 0.6**v)
             for u in range(steps)
             for v in range(steps)
         ]

@@ -7,7 +7,7 @@ run_manifest.json`` reproduces the outputs byte-identically: the manifest
 stores the resolved bandwidths, so even a CV-selected run replays without
 re-selection.
 
-Exit codes: 0 success, 2 usage errors, 1 data or validation errors.
+Exit codes: 0 success, 2 usage errors, 1 data, validation or file (OSError) errors.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import get_type_hints
 
@@ -26,7 +27,7 @@ from . import svgplot
 from .bandwidth import BandwidthGrid, CvReport, select_bandwidths
 from .dynamics import contributions, decompose
 from .errors import DataError, DomainError
-from .kernels import get_kernel
+from .kernels import Kernel, get_kernel
 from .ranks import Bandwidths, default_bandwidths, empirical_ranks, smooth_ranks
 from .sample import (
     default_presmooth_bandwidth,
@@ -79,7 +80,7 @@ def _fmt_column(x) -> list[str]:
 
 def _grid_table(ids: list[str], grid, *fields) -> list[list[str]]:
     """Columns id, t and one per (n, G) field, a row per subject and grid point."""
-    id_col = [sid for sid in map(_csv_field, ids) for _ in range(len(grid))]
+    id_col = list(chain.from_iterable(repeat(q, len(grid)) for q in map(_csv_field, ids)))
     return [id_col, _fmt_column(grid) * len(ids), *map(_fmt_column, fields)]
 
 
@@ -198,8 +199,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 def _load_sample(cfg: RunConfig):
     if cfg.input is None:
         raise UsageError("--input is required for this command")
-    if not Path(cfg.input).exists():
-        raise DataError(f"input file not found: {cfg.input}")
     loader = load_wide_csv if cfg.wide else load_long_csv
     return loader(cfg.input)
 
@@ -230,6 +229,14 @@ def _parse_grid(spec: str, sample) -> BandwidthGrid:
     return BandwidthGrid(pairs)
 
 
+def _kernel(cfg: RunConfig) -> Kernel:
+    """The kernel named by --kernel or the config; an unknown name is a usage error."""
+    try:
+        return get_kernel(cfg.kernel)
+    except ValueError as exc:
+        raise UsageError(f"--kernel: {exc}") from None
+
+
 def _resolve_bandwidths(cfg: RunConfig, sample) -> tuple[Bandwidths, CvReport | None]:
     has_pair = cfg.h_y is not None or cfg.h_t is not None
     if has_pair and cfg.cv_grid is not None:
@@ -239,24 +246,29 @@ def _resolve_bandwidths(cfg: RunConfig, sample) -> tuple[Bandwidths, CvReport | 
             raise UsageError("--h-y and --h-t must be given together")
         return Bandwidths(float(cfg.h_y), float(cfg.h_t)), None
     if cfg.cv_grid is not None:
-        report = select_bandwidths(sample, _parse_grid(cfg.cv_grid, sample), kernel=get_kernel(cfg.kernel))
+        report = select_bandwidths(sample, _parse_grid(cfg.cv_grid, sample), kernel=_kernel(cfg))
         return report.chosen, report
     return default_bandwidths(sample), None
 
 
-def _resolve_trim(cfg: RunConfig, bw: Bandwidths) -> float:
-    if str(cfg.trim).strip().lower() == "auto":
-        return bw.h_t
-    trim = float(cfg.trim)
-    if not 0 < trim < 0.5:
-        raise DomainError(f"--trim must lie in (0, 0.5), got {trim!r}")
-    return trim
+def _decompose(cfg: RunConfig, sample, smoothed, kern: Kernel, bw: Bandwidths):
+    """decompose() at --trim ('auto': h_t), with the resolved trim kept for the manifest."""
+    trim = bw.h_t
+    if str(cfg.trim).strip().lower() != "auto":
+        try:
+            trim = float(cfg.trim)
+        except ValueError:
+            raise UsageError(f"--trim must be 'auto' or a number, got {cfg.trim!r}") from None
+        if not 0 < trim < 0.5:
+            raise DomainError(f"--trim must lie in (0, 0.5), got {trim!r}")
+    cfg.trim = repr(trim)
+    return decompose(sample, smoothed, bw, trim=trim, kernel=kern)
 
 
 def _pipeline(cfg: RunConfig, need_bandwidths: bool = True):
     """Shared front half: load, presmooth, resolve bandwidths."""
+    kern = _kernel(cfg)
     sample = _load_sample(cfg)
-    kern = get_kernel(cfg.kernel)
     h_d = cfg.h_d if cfg.h_d is not None else default_presmooth_bandwidth(sample)
     smoothed = presmooth(sample, h_d=h_d, eval_grid_size=int(cfg.eval_points), kernel=kern)
     cfg.h_d = float(h_d)
@@ -304,9 +316,7 @@ def _cmd_ranks(cfg: RunConfig) -> int:
 
 def _cmd_decompose(cfg: RunConfig) -> int:
     sample, smoothed, kern, bw, _ = _pipeline(cfg)
-    trim = _resolve_trim(cfg, bw)
-    cfg.trim = repr(trim)
-    dec = decompose(sample, smoothed, bw, trim=trim, kernel=kern)
+    dec = _decompose(cfg, sample, smoothed, kern, bw)
     out = _outdir(cfg)
     _write_decomposition(out / "decomposition.csv", dec)
     lam = contributions(dec)
@@ -325,9 +335,7 @@ def _cmd_decompose(cfg: RunConfig) -> int:
 
 def _cmd_summaries(cfg: RunConfig) -> int:
     sample, smoothed, kern, bw, _ = _pipeline(cfg)
-    trim = _resolve_trim(cfg, bw)
-    cfg.trim = repr(trim)
-    dec = decompose(sample, smoothed, bw, trim=trim, kernel=kern)
+    dec = _decompose(cfg, sample, smoothed, kern, bw)
     rks = smooth_ranks(smoothed, bw, kernel=kern)
     subs = subject_summaries(rks, dec)
     pop = population_summaries(dec)
@@ -348,8 +356,8 @@ def _cmd_summaries(cfg: RunConfig) -> int:
 
 
 def _cmd_cv(cfg: RunConfig) -> int:
+    kern = _kernel(cfg)
     sample = _load_sample(cfg)
-    kern = get_kernel(cfg.kernel)
     grid = _parse_grid(cfg.cv_grid if cfg.cv_grid is not None else "default", sample)
     report = select_bandwidths(sample, grid, kernel=kern)
     out = _outdir(cfg)
@@ -376,7 +384,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         runs=int(cfg.runs),
         grid=_parse_grid(cfg.cv_grid or "default", None),
         base_seed=int(cfg.seed),
-        kernel=get_kernel(cfg.kernel),
+        kernel=_kernel(cfg),
         eval_points=int(cfg.eval_points),
         h_d=cfg.h_d,
         workers=int(cfg.threads),
@@ -434,8 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--wide", action="store_true", default=None,
                        help="input is wide format: time,id1,id2,...")
         p.add_argument("--out", help="output directory (default: current)")
-        p.add_argument("--kernel", choices=["epanechnikov", "biweight"],
-                       help="smoothing kernel (default epanechnikov)")
+        p.add_argument("--kernel", help="smoothing kernel: epanechnikov (default) or biweight")
         p.add_argument("--h-y", dest="h_y", type=float, help="value-direction bandwidth")
         p.add_argument("--h-t", dest="h_t", type=float, help="time-direction bandwidth")
         p.add_argument("--h-d", dest="h_d", type=float, help="presmoothing bandwidth")
@@ -444,8 +451,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eval-points", dest="eval_points", type=int,
                        help="size of the uniform evaluation grid (default 101)")
         p.add_argument("--trim", help="boundary trim: 'auto' (= h_t) or a number")
-        p.add_argument("--method", choices=["both", "empirical", "smooth"],
-                       help="rank method(s) for the ranks command")
+        p.add_argument("--method", help="rank method(s) for the ranks command: "
+                       "both (default), empirical or smooth")
         p.add_argument("--seed", type=int, help="base seed (simulate)")
         p.add_argument("--runs", type=int, help="Monte Carlo runs (simulate)")
         p.add_argument("--n", help="comma list of sample sizes (simulate)")
@@ -468,7 +475,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, DegenerateSampleError, DomainError
 from .kernels import EPANECHNIKOV, Kernel
-from .ranks import Bandwidths, _check_interior, _estimates, _trimmed_grid
+from .ranks import Bandwidths, _check_interior, _estimates, _inside
 from .sample import FunctionalSample, SmoothedSample
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "decompose_many",
     "contributions",
 ]
-
-_TOL = 1e-9
 
 
 @dataclass
@@ -70,14 +68,14 @@ def estimate_partials(
     y: float,
     t: float,
     kernel: Kernel = EPANECHNIKOV,
-    allow_boundary: bool = False,
 ) -> tuple[float, float]:
     """(D1, D2) at one point: the time and value partials of the cdf estimate.
 
     D1 = Q3/Q2 - Q1 Q4 / Q2^2 and D2 = Q5/Q2; D2 is nonnegative because it
-    is a ratio of nonnegative kernel sums.
+    is a ratio of nonnegative kernel sums.  Raises BoundaryError for t
+    outside [h_t, 1 - h_t].
     """
-    _check_interior(t, bw.h_t, allow_boundary)
+    _check_interior(t, bw.h_t)
     [(_, d1, d2)] = _estimates(sample, kernel, [bw], [t], [[y]])
     return float(d1[0, 0]), float(d2[0, 0])
 
@@ -88,23 +86,26 @@ def decompose_many(
     bandwidths: list[Bandwidths],
     trim: float | None = None,
     kernel: Kernel = EPANECHNIKOV,
-    strict: bool = True,
 ) -> list[DecompositionResult]:
     """decompose() for several bandwidth pairs sharing the kernel tensors.
 
-    All results live on the same trimmed grid, which defaults to the widest
-    h_t among the pairs.  Used by the bandwidth-comparison harness, where
-    a fixed integration domain across pairs is required.
+    All results live on the points of ``smoothed.eval_grid`` inside
+    [trim, 1 - trim]; trim defaults to, and may not be below, the widest h_t.
+    Used by the bandwidth-comparison harness, where a fixed integration
+    domain across pairs is required.
     """
     if smoothed.n != sample.n or list(smoothed.ids) != list(sample.ids):
         raise DataError("smoothed sample does not match the raw sample")
+    h_max = max(bw.h_t for bw in bandwidths)
     if trim is None:
-        trim = max(bw.h_t for bw in bandwidths)
-    if any(bw.h_t > trim + _TOL for bw in bandwidths):
-        raise DomainError("trim must be at least the largest h_t in use")
-    grid = _trimmed_grid(smoothed.eval_grid, float(trim))
-    cols = np.searchsorted(smoothed.eval_grid, grid - _TOL)
-    fields = _estimates(sample, kernel, bandwidths, grid, smoothed.values[:, cols], strict)
+        trim = h_max
+    if _inside(trim, h_max).size == 0:
+        raise DomainError(f"trim={trim!r} must lie in [h_t, 1 - h_t] for the largest h_t {h_max!r}")
+    cols = _inside(smoothed.eval_grid, trim)
+    if cols.size == 0:
+        raise DomainError(f"no evaluation points remain inside [{trim}, {1 - trim}]")
+    grid = smoothed.eval_grid[cols]
+    fields = _estimates(sample, kernel, bandwidths, grid, smoothed.values[:, cols])
     dyq = smoothed.derivatives[:, cols]
     out = []
     for _, d1, d2 in fields:
@@ -119,16 +120,15 @@ def decompose(
     bw: Bandwidths,
     trim: float | None = None,
     kernel: Kernel = EPANECHNIKOV,
-    strict: bool = True,
 ) -> DecompositionResult:
     """Estimate C1, C2 and R' = C1 + C2 for every subject.
 
     The cdf partials are evaluated at the subject's smoothed value, and C2
     multiplies the value partial by the smoothed derivative.  Evaluation is
-    restricted to [trim, 1 - trim] (trim defaults to h_t).  In strict mode
-    a grid point without local data aborts; otherwise it is marked NaN.
+    restricted to [trim, 1 - trim] (trim defaults to h_t).  The first grid
+    point without data within h_t raises InsufficientDataError.
     """
-    return decompose_many(sample, smoothed, [bw], trim=trim, kernel=kernel, strict=strict)[0]
+    return decompose_many(sample, smoothed, [bw], trim=trim, kernel=kernel)[0]
 
 
 def contributions(decomp: DecompositionResult) -> ComponentContributions:

@@ -43,7 +43,7 @@ class EvaluationError(DataError):
 
 
 class BoundaryError(DataError):
-    """Kernel evaluation requested inside the boundary strip without override."""
+    """Kernel evaluation requested inside the boundary strip [0, h_t) or (1 - h_t, 1]."""
 
 
 class DegenerateSampleError(DataError):

@@ -146,44 +146,39 @@ def empirical_ranks(source, eval_grid=None) -> RankTrajectories:
     return RankTrajectories(list(ids), eval_grid, v.T, "empirical")
 
 
-def _check_interior(t: float, h_t: float, allow_boundary: bool):
-    if not allow_boundary and not (h_t - _TOL <= t <= 1.0 - h_t + _TOL):
-        raise BoundaryError(
-            f"t={t!r} lies in the boundary strip for h_t={h_t!r}; "
-            "pass allow_boundary=True to override"
-        )
+def _inside(grid, trim: float) -> np.ndarray:
+    """Indices of the points of ``grid`` (or of a scalar) inside [trim, 1 - trim].
+
+    The package's one statement of the interior-window rule, to within 1e-9.
+    """
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    return np.flatnonzero((grid >= trim - _TOL) & (grid <= 1.0 - trim + _TOL))
 
 
-def _trimmed_grid(eval_grid: np.ndarray, trim: float) -> np.ndarray:
-    keep = (eval_grid >= trim - _TOL) & (eval_grid <= 1.0 - trim + _TOL)
-    trimmed = eval_grid[keep]
-    if trimmed.size == 0:
-        raise DomainError(f"no evaluation points remain inside [{trim}, {1 - trim}]")
-    return trimmed
+def _check_interior(t: float, h_t: float):
+    if _inside(t, h_t).size == 0:
+        raise BoundaryError(f"t={t!r} lies in the boundary strip for h_t={h_t!r}")
 
 
-def _estimates(
-    sample, kernel: Kernel, bandwidths, ts, yq, strict: bool = True, partials: bool = True
-):
+def _estimates(sample, kernel: Kernel, bandwidths, ts, yq, partials: bool = True):
     """(F, D1, D2), each (Q, T), per bandwidth pair from one engine call.
 
     F = Q1/Q2 is the cdf estimate and D1, D2 its time and value partials;
     ``ts`` and ``yq`` are as in ``_engine.qbar_grid``.  With partials=False
     the engine skips what only D1 and D2 need, and they are None.  A time
-    without data within h_t raises, naming the first such time; with
-    strict=False its columns are NaN.
+    without data within h_t raises InsufficientDataError, naming the first
+    such time.
     """
     pairs = [(bw.h_y, bw.h_t) for bw in bandwidths]
     qs = _engine.qbar_grid(_engine.flatten_sample(sample), kernel, pairs, ts, yq, partials)
     empty = np.array([q[1] for q in qs]) <= 0.0
-    if strict and empty.any():
+    if empty.any():
         j, p = np.argwhere(empty.T)[0]
         raise InsufficientDataError(
             f"no observations within h_t={pairs[p][1]!r} of t={float(ts[j])!r}"
         )
     out = []
-    for (q1, q2, *rest), gap in zip(qs, empty):
-        q2 = np.where(gap, np.nan, q2)
+    for q1, q2, *rest in qs:
         # numerator <= denominator holds mathematically (H <= 1 with equal weights);
         # enforce it so saturated queries give exactly 1 despite summation-order dust
         f = np.minimum(q1, q2) / q2
@@ -201,14 +196,14 @@ def smooth_cdf(
     y: float,
     t: float,
     kernel: Kernel = EPANECHNIKOV,
-    allow_boundary: bool = False,
 ) -> float:
     """Kernel estimate of the cross-sectional cdf F_t(y).
 
     Returns the raw ratio of the two kernel averages (mathematically in
     [0, 1] for cdf-type integrated kernels); downstream reports clamp.
+    Raises BoundaryError for t outside [h_t, 1 - h_t].
     """
-    _check_interior(t, bw.h_t, allow_boundary)
+    _check_interior(t, bw.h_t)
     [(f, _, _)] = _estimates(sample, kernel, [bw], [t], [[y]], partials=False)
     return float(f[0, 0])
 
@@ -227,9 +222,10 @@ def smooth_ranks(
     ids, grid, vals = _as_shared_data(source)
     if len(ids) < 2:
         raise DataError("rank estimation needs at least 2 subjects")
-    if eval_grid is None:
-        eval_grid = grid
-    trimmed = _trimmed_grid(np.atleast_1d(np.asarray(eval_grid, dtype=float)), bw.h_t)
+    eval_grid = np.atleast_1d(np.asarray(grid if eval_grid is None else eval_grid, dtype=float))
+    trimmed = eval_grid[_inside(eval_grid, bw.h_t)]
+    if trimmed.size == 0:
+        raise DomainError(f"no evaluation points remain inside [{bw.h_t}, {1 - bw.h_t}]")
     [(f, _, _)] = _estimates(
         source, kernel, [bw], trimmed, vals[:, match_grid(grid, trimmed)], partials=False
     )

@@ -80,14 +80,6 @@ def _validate_grid(t: np.ndarray, subject: str) -> None:
             )
 
 
-def _grid_groups(times: list[np.ndarray]) -> dict[bytes, list[int]]:
-    """Subject indices per distinct grid, grids in order of their first subject."""
-    groups: dict[bytes, list[int]] = {}
-    for i, t in enumerate(times):
-        groups.setdefault(t.tobytes(), []).append(i)
-    return groups
-
-
 @dataclass
 class FunctionalSample:
     """n subject trajectories on per-subject dense grids in [0, 1].
@@ -101,6 +93,8 @@ class FunctionalSample:
     times: list[np.ndarray]
     values: list[np.ndarray]
     shared_grid: np.ndarray | None = field(init=False, default=None)
+    # subject indices per distinct grid, grids in order of their first subject
+    grid_groups: list[list[int]] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if not (len(self.ids) == len(self.times) == len(self.values)):
@@ -121,15 +115,18 @@ class FunctionalSample:
             ends = np.cumsum([v.size for v in self.values])
             bad = int(np.searchsorted(ends, np.argmin(finite), side="right"))
         # grids in first-appearance order: a subject's value check comes before its grid's
-        groups = _grid_groups(self.times)
-        for members in groups.values():
+        groups: dict[bytes, list[int]] = {}
+        for i, t in enumerate(self.times):
+            groups.setdefault(t.tobytes(), []).append(i)
+        self.grid_groups = list(groups.values())
+        for members in self.grid_groups:
             if members[0] >= bad:
                 break
             _validate_grid(self.times[members[0]], self.ids[members[0]])
         if bad < self.n:
             raise DataError(f"subject {self.ids[bad]!r} has non-finite values")
         first = self.times[0]
-        if all(np.array_equal(self.times[m[0]], first) for m in groups.values()):
+        if all(np.array_equal(self.times[m[0]], first) for m in self.grid_groups):
             self.shared_grid = first
 
     @property
@@ -434,7 +431,7 @@ def presmooth(
     grid = np.linspace(0.0, 1.0, int(eval_grid_size))
     vals = np.empty((sample.n, grid.size))
     derivs = np.empty((sample.n, grid.size))
-    for members in _grid_groups(sample.times).values():
+    for members in sample.grid_groups:
         first = members[0]
         y = np.vstack([sample.values[i] for i in members])   # (k, m)
         vals[members], derivs[members] = _fit_grid(

@@ -16,14 +16,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .bandwidth import BandwidthGrid, select_bandwidths
 from .dynamics import DecompositionResult, decompose_many
 from .errors import DataError, DomainError, GridMismatchError
-from .kernels import EPANECHNIKOV, Kernel, get_kernel
-from .ranks import Bandwidths, smooth_ranks
+from .kernels import EPANECHNIKOV, Kernel
+from .ranks import _inside, smooth_ranks
 from .sample import FunctionalSample, presmooth
 from .summaries import time_average
 
@@ -41,7 +42,6 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-_TOL = 1e-9
 
 
 def _phi(u):
@@ -175,12 +175,13 @@ def mise(
 ) -> tuple[float, float]:
     """Mean integrated squared errors of (C1, C2) over [h_max, 1 - h_max]."""
     grid = estimates.trimmed_grid
-    if grid[0] > h_max + _TOL or grid[-1] < 1.0 - h_max - _TOL:
+    # the grid covers [h_max, 1 - h_max] when h_max is inside its own ends' window
+    if _inside(h_max, max(grid[0], 1.0 - grid[-1])).size == 0:
         raise GridMismatchError(
             f"decomposition grid [{grid[0]}, {grid[-1]}] does not cover "
             f"[{h_max}, {1 - h_max}]"
         )
-    keep = (grid >= h_max - _TOL) & (grid <= 1.0 - h_max + _TOL)
+    keep = _inside(grid, h_max)
     sub = grid[keep]
     _, c1_true, c2_true = true_values(model, xi, sub)
     m1 = np.trapezoid((estimates.c1[:, keep] - c1_true) ** 2, sub, axis=1).mean()
@@ -262,7 +263,7 @@ def _run_one(
 
     # rank summary statistics at the CV pick, on the raw observation grid
     obs = sim.sample.shared_grid
-    sub = obs[(obs >= h_max - _TOL) & (obs <= 1.0 - h_max + _TOL)]
+    sub = obs[_inside(obs, h_max)]
     rks = smooth_ranks(sim.sample, report.chosen, eval_grid=sub, kernel=kernel)
     r_true, _, _ = true_values(model, sim.xi, rks.eval_grid)
     rho_hat = time_average(rks.eval_grid, rks.ranks)
@@ -290,13 +291,6 @@ def _run_one(
     )
 
 
-def _mc_task(args) -> MonteCarloRow:
-    model_fields, n, run, seed, pair_tuples, kernel_name, eval_points, h_d = args
-    model = SimModel(*model_fields)
-    grid = BandwidthGrid([Bandwidths(hy, ht) for hy, ht in pair_tuples])
-    return _run_one(model, n, run, seed, grid, get_kernel(kernel_name), eval_points, h_d)
-
-
 def run_monte_carlo(
     model: SimModel,
     n_list,
@@ -314,7 +308,8 @@ def run_monte_carlo(
     or parallel) reproduce the report byte-identically.  The oracle pick
     minimizes the summed MISE of the two components over the grid; both
     picks' MISEs plus the squared errors of the rank summary statistics at
-    the CV pick are recorded per run.
+    the CV pick are recorded per run.  With workers > 1, a pool of
+    min(workers, tasks) processes runs the (n, run) tasks.
     """
     if runs < 1:
         raise DomainError("runs must be at least 1")
@@ -322,23 +317,14 @@ def run_monte_carlo(
         grid = BandwidthGrid.geometric()
     if h_d is None:
         h_d = max(0.10, 3.0 / (model.m + 1))
-    tasks = [
-        (
-            (tuple(model.means), tuple(model.sds), model.m),
-            int(n),
-            run,
-            base_seed + run,
-            tuple((bw.h_y, bw.h_t) for bw in grid.pairs),
-            kernel.name,
-            eval_points,
-            float(h_d),
-        )
-        for run in range(runs)
-        for n in n_list
-    ]
+    one = partial(
+        _run_one, model, grid=grid, kernel=kernel, eval_points=eval_points, h_d=float(h_d)
+    )
+    tasks = [(int(n), run, base_seed + run) for run in range(runs) for n in n_list]
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_mc_task, tasks))
+            rows = list(pool.map(one, *zip(*tasks)))
     else:
-        rows = [_mc_task(t) for t in tasks]
+        rows = [one(*task) for task in tasks]
     return MonteCarloReport(rows=rows)

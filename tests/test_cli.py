@@ -376,6 +376,44 @@ class TestExitCodes:
         assert main(["decompose", "--input", str(data_csv), "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("setting, code", [
+        ("trim", 2),
+        ("kernel", 2),
+        ("config_dir", 1),
+        ("input_dir", 1),
+        ("out_file", 1),
+    ])
+    def test_bad_setting_exits_without_traceback(self, setting, code, data_csv, tmp_path, capsys):
+        args = ["decompose", "--input", str(data_csv), "--h-y", "0.8", "--h-t", "0.2",
+                "--out", str(tmp_path / "o")]
+        if setting == "trim":
+            args += ["--trim", "abc"]
+        elif setting == "kernel":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"kernel": "gaussian"}))
+            args += ["--config", str(cfg)]
+        elif setting == "config_dir":
+            args += ["--config", str(tmp_path)]
+        elif setting == "input_dir":
+            args[2] = str(tmp_path)
+        else:
+            (tmp_path / "taken").write_text("")
+            args += ["--out", str(tmp_path / "taken")]
+        assert main(args) == code
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: " if code == 2 else "error: ")
+        assert "Traceback" not in err
+
+    def test_kernel_flag_and_config_key_share_one_check(self, data_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kernel": "gaussian"}))
+        messages = []
+        for extra in (["--kernel", "gaussian"], ["--config", str(cfg)]):
+            assert main(["cv", "--input", str(data_csv), "--out", str(tmp_path / "o"), *extra]) == 2
+            messages.append(capsys.readouterr().err)
+        assert messages[0] == messages[1]
+        assert "epanechnikov" in messages[0]
+
 
 def test_importing_the_cli_loads_no_scipy():
     # only the simulation's closed-form truths use scipy, and importing it

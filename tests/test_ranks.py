@@ -148,7 +148,6 @@ class TestSmoothCdf:
         s = constant_sample([1.0, 2.0])
         with pytest.raises(BoundaryError):
             smooth_cdf(s, Bandwidths(0.5, 0.2), y=1.5, t=0.05)
-        smooth_cdf(s, Bandwidths(0.5, 0.2), y=1.5, t=0.05, allow_boundary=True)
 
     def test_no_local_data(self):
         s = FunctionalSample(

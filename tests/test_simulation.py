@@ -190,6 +190,33 @@ class TestMonteCarlo:
         parallel = run_monte_carlo(model, [8], runs=2, grid=grid, base_seed=9, workers=2)
         assert serial.rows == parallel.rows
 
+    def test_pool_never_exceeds_the_task_count(self, model, monkeypatch):
+        # a stand-in pool: it records its size and maps in this process, so no
+        # worker is started whatever the worker count asks for
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("rankdyn.simulation.ProcessPoolExecutor", SerialPool)
+        grid = BandwidthGrid([Bandwidths(1.2, 0.25)])
+        serial = run_monte_carlo(model, [8], runs=2, grid=grid, base_seed=9)
+        pooled = run_monte_carlo(model, [8], runs=2, grid=grid, base_seed=9, workers=5000)
+        assert sizes == [2]
+        assert pooled.rows == serial.rows
+        run_monte_carlo(model, [8], runs=1, grid=grid, base_seed=9, workers=5000)
+        assert sizes == [2]  # one task runs in this process, without a pool
+
     def test_report_helpers(self, model):
         grid = BandwidthGrid([Bandwidths(1.0, 0.25)])
         rep = run_monte_carlo(model, [8, 12], runs=3, grid=grid, base_seed=1)
