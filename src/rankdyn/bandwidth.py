@@ -18,32 +18,32 @@ column is integrated elementwise.
 Leaving out always removes the whole subject: the within-subject
 observations are maximally dependent, so removing a single point would
 barely change the estimator and defeat the validation.  One code path
-serves shared and ragged grids alike.  Subjects are held as padded rows,
-and the leave-out cdf is (all-subject sums - own sums) / (all mass - own
-mass).
+serves shared and ragged grids alike.  With G_k = w_k H((y - y_k)/h_y) on
+the y-grid and w_k = 1/m_i, subject i's leave-out cdf at a scored time s is
+f = (S - S_i) / (W - W_i): S = sum_k K((s - t_k)/h_t) G_k over all
+observations, S_i over i's own, and W, W_i the same sums of w_k.  H is
+evaluated once per h_y; time weights, window edges and coefficients once
+per h_t.  The subjects sharing an observation grid (``grid_groups``) form
+a row-major (time x member) table; the observations are the tables one
+after another, unpadded, and the scored ones (times inside (h_max,
+1 - h_max)) follow in the same order.
 
-H, the kernel cdf in y, is evaluated once per h_y: for every padded
-observation at every point of the y-grid, into an (n, m_max, 201) buffer.
-The time weights K((t - t_k)/h_t) / m_i are exactly 0 outside
-|t - t_k| <= h_t and on the padding at t = 2, so they select each time's
-window; there is no window gather.  The sorted distinct interior times are
-walked in consecutive blocks.  With P the most pairs sharing one h_y, a
-block scores each subject at most L = max(1, m_max // (2P)) times and
-holds at most max(1, 201 // (2P)) times; both limits come from the data
-and the y-grid.  On a shared grid every subject is scored at every time,
-so a block is L times (4 on the default grid with 32 points); on a ragged
-grid it holds many.  The time weights of all pairs sharing an h_y, at all
-B block times, form a (B, P, n, m_max) tensor.  One matmul against H gives
-the all-subject sums at every block time.  One batched matmul gives the
-own sums of every (subject, slot), from the subject's weights at the time
-where that slot is scored.
+S is a window sum along time.  G is summed over each distinct observation
+time tau (a shared grid of m points gives m rows).  On its support
+K((s - tau)/h_t) is a polynomial in tau, so with the time axis cut into
+cells of width h_t and tau written about its cell's centre, the sum over
+the window (s - h_t, s + h_t) is read off cell-local prefix moments at the
+window's cell edges: the engine's update along y (``_engine``), here along
+t (Langrene & Warin 2019, JCGS).  A window spans at most three cells, one
+more if rounding puts its edge on a cell edge.  S_i is direct: a grid's
+own windows hold few points, so one matmul per grid, its time weights
+against its block of G, gives every member's own sums.  W and W_i take
+the same two routes.  A leave-out window left empty is found by counting,
+so rounding in the prefix moments cannot hide it.
 
-Memory: H is one (n, m_max, 201) buffer, and a spare buffer of the same
-size holds, in turn, H's argument, then each block's time weights and
-their argument in its two halves, then the block's own sums and leave-out
-numerators in its two halves.  The two limits above are what make each
-pair of these fit in it.  Nothing else grows with H: the per-block rows
-of lam are (n L, 201), which is L / m_max of H.
+Given the masses, the score adds up over y-grid columns, so the columns
+are taken in blocks whose buffers stay within one (N, 201) H, N the number
+of observations.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError, InsufficientDataError
+from ._engine import _cell_moments, _expansion, _powers
 from .kernels import EPANECHNIKOV, Kernel
 from .ranks import Bandwidths
 from .sample import FunctionalSample, pooled_std
@@ -125,30 +126,31 @@ class CvReport:
     chosen: Bandwidths
 
 
-def _time_blocks(
-    obs_i: np.ndarray, first: np.ndarray, n: int, slots: int, limit: int
-) -> tuple[list[int], np.ndarray]:
-    """Split the sorted interior times into consecutive blocks.
+def _window_rule(tau: np.ndarray, ts: np.ndarray, h_t: float, expand: np.ndarray):
+    """(u, edges, coef) reading kernel sums at ``ts`` off prefix moments along ``tau``.
 
-    ``first[k]:first[k + 1]`` indexes the scored subjects ``obs_i`` at time
-    k.  A block ends before the time that would score one of its subjects
-    ``slots + 1`` times, and after ``limit`` times.  Returns the block
-    starts, with the number of times appended, and each scored
-    observation's slot: how often its subject was scored earlier in the
-    block.
+    ``tau`` holds the sorted distinct times, in cells of width h_t; u = tau / h_t.
+    ``edges`` (S, E) cuts each window, tau[edges[:, 0]:edges[:, -1]], at its cell
+    edges, and ``coef`` (S, E, deg) weighs the moments there; ``expand`` expands K.
     """
-    starts = [0]
-    count = np.zeros(n, dtype=np.intp)
-    slot = np.empty(obs_i.size, dtype=np.intp)
-    for k in range(first.size - 1):
-        subjects = obs_i[first[k] : first[k + 1]]
-        if k - starts[-1] == limit or np.any(count[subjects] == slots):
-            starts.append(k)
-            count[:] = 0
-        slot[first[k] : first[k + 1]] = count[subjects]
-        count[subjects] += 1
-    starts.append(first.size - 1)
-    return starts, slot
+    u = tau / h_t
+    cell = np.floor(u)
+    lo = np.searchsorted(tau, ts - h_t, side="right")
+    hi = np.searchsorted(tau, ts + h_t, side="left")
+    first = cell[lo]
+    inner = np.searchsorted(cell, first[:, None] + np.arange(1, (cell[hi - 1] - first).max() + 1))
+    edges = np.column_stack([lo, np.clip(inner, lo[:, None], hi[:, None]), hi])
+    # K((ts - tau) / h_t) = P(z - v), with z and v the offsets of ts and tau
+    # from a cell's centre; a cell's sum is its two edges' moments apart
+    z = ts[:, None] / h_t - (first[:, None] + np.arange(edges.shape[1] - 1) + 0.5)
+    per_cell = _powers(z, expand.shape[0]) @ expand
+    return u, edges, -np.diff(np.pad(per_cell, ((0, 0), (1, 1), (0, 0))), axis=1)
+
+
+def _window_sums(d: np.ndarray, u: np.ndarray, edges: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_tau K((ts - tau) / h_t) d[tau] for per-time data ``d`` (T, columns); (S, columns)."""
+    mom = _cell_moments(u, d[:, None], coef.shape[2])[1][:, 0]
+    return sum(coef[:, e : e + 1] @ mom[edges[:, e]] for e in range(edges.shape[1]))[:, 0]
 
 
 def _cv_values(
@@ -157,59 +159,75 @@ def _cv_values(
     h_max: float,
     kernel: Kernel,
 ) -> list[float]:
-    """Objective values for several pairs, sharing kernel tensors per h_y."""
+    """Objective values for several pairs, sharing H per h_y and time weights per h_t."""
     if sample.n < 2:
-        raise InsufficientDataError(
-            "leave-one-out cross-validation needs at least 2 subjects"
-        )
+        raise InsufficientDataError("leave-one-out cross-validation needs at least 2 subjects")
     if not 0 < h_max < 0.5:
         raise DomainError(f"h_max must lie in (0, 0.5), got {h_max!r}")
-    # Padded rows of time, value and weight 1/m_i.  Padding sits at t = 2,
-    # outside every kernel window (h_t < 0.5), so its time weights are 0.
-    n, gy = sample.n, _Y_GRID_SIZE
-    m_max = max(t.size for t in sample.times)
-    times = np.full((n, m_max), 2.0)
-    vals = np.zeros((n, m_max))
-    wts = np.zeros((n, m_max))
-    for i, (t, v) in enumerate(zip(sample.times, sample.values)):
-        times[i, : t.size] = t
-        vals[i, : t.size] = v
-        wts[i, : t.size] = 1.0 / t.size
-    obs_i, obs_j = np.nonzero((times > h_max) & (times < 1.0 - h_max))
-    if obs_i.size == 0:
+    gy = _Y_GRID_SIZE
+    grids = [sample.times[m[0]] for m in sample.grid_groups]
+    tables = [np.stack([sample.values[i] for i in m], axis=1) for m in sample.grid_groups]
+    scored = [np.flatnonzero((t > h_max) & (t < 1.0 - h_max)) for t in grids]
+    interior = np.unique(np.concatenate([t[j] for t, j in zip(grids, scored)]))
+    if interior.size == 0:
         raise DomainError(f"no observation times inside ({h_max}, {1 - h_max})")
-    # scored observations ordered by time; time k's are first[k]:first[k + 1]
-    interior, obs_k = np.unique(times[obs_i, obs_j], return_inverse=True)
-    order = np.argsort(obs_k, kind="stable")
-    obs_i, obs_k, jumps = obs_i[order], obs_k[order], vals[obs_i, obs_j][order]
-    first = np.searchsorted(obs_k, np.arange(interior.size + 1))
+    vals = np.concatenate([v.ravel() for v in tables])
+    wts = np.concatenate([np.full(v.size, 1.0 / v.shape[0]) for v in tables])
+    jumps = np.concatenate([v[j].ravel() for v, j in zip(tables, scored)])
+    width = np.concatenate([np.full(t.size, v.shape[1]) for t, v in zip(grids, tables)])
+    row_t = np.concatenate(grids)
+    by_time = np.argsort(row_t, kind="stable")
+    tau, tau_start = np.unique(row_t[by_time], return_index=True)
+
+    def per_time(x):
+        """Sums of the rows of ``x`` over each table row, then over each distinct time."""
+        rows = np.add.reduceat(x, np.cumsum(width) - width, axis=0)
+        return np.add.reduceat(rows[by_time], tau_start, axis=0)
+
+    h_ts = sorted({bw.h_t for bw in pairs})
+    col = {h_t: c for c, h_t in enumerate(h_ts)}
+    lead = [next(p for p, bw in enumerate(pairs) if bw.h_t == h_t) for h_t in h_ts]
+    rules = [_window_rule(tau, interior, h_t, _expansion(kernel.density_coeffs)) for h_t in h_ts]
+    w_t, n_t = per_time(np.column_stack([wts, np.ones(vals.size)])).T  # mass and count per time
+    mass = np.column_stack([_window_sums(w_t[:, None], *r)[:, 0] for r in rules])
+    n_t = np.append(0.0, np.cumsum(n_t))
+    count = np.column_stack([n_t[e[:, -1]] - n_t[e[:, 0]] for _, e, _ in rules])
+    h_col = np.array(h_ts)
+    own_w, denom, at, fails = [], [], [], []
+    for t, v, j, members in zip(grids, tables, scored, sample.grid_groups):
+        ts = t[j, None]
+        own_w.append(kernel.density((ts - t) / h_col[:, None, None]))  # (h_t, scored rows, m)
+        k = np.searchsorted(interior, t[j])
+        own = np.searchsorted(t, ts + h_col) - np.searchsorted(t, ts - h_col, side="right")
+        fails += [(k[r], lead[c], members[0]) for r, c in zip(*np.nonzero(count[k] == own))]
+        denom.append(np.repeat(mass[k] - own_w[-1].sum(axis=2).T / t.size, v.shape[1], axis=0))
+        at.append(np.repeat(k, v.shape[1]))
+    if fails:
+        k, p, i = min(fails)  # the earliest time, then the first pair, then the first subject
+        raise InsufficientDataError(
+            f"no observations within h_t={pairs[p].h_t!r} of t={float(interior[k])!r} "
+            f"after leaving out subject {sample.ids[i]!r}"
+        )
+    inv, at = 1.0 / np.concatenate(denom), np.concatenate(at)  # by scored observation
 
     groups: dict[float, list[int]] = {}
     for idx, bw in enumerate(pairs):
         groups.setdefault(bw.h_y, []).append(idx)
-    width = max(len(idxs) for idxs in groups.values())
-    # A block stages its time weights and then its own sums and leave-out
-    # numerators in the two halves of a spare buffer as large as H; so that
-    # they fit, it scores a subject at most ``slots`` times and holds at most
-    # ``limit`` times.
-    slots = max(1, m_max // (2 * width))
-    limit = max(1, gy // (2 * width))
-    half = max(-(-n * m_max * gy // 2), n * slots * width * gy, limit * width * n * m_max)
-    spare = np.empty(2 * half)
-    lo, hi = spare[:half], spare[half:]
-    starts, obs_l = _time_blocks(obs_i, first, n, slots, limit)
+    most = max(len({pairs[i].h_t for i in idxs}) for idxs in groups.values())
+    deg = len(kernel.density_coeffs)
+    # Columns per block: G, H's argument and their per-time sums, one h_t's
+    # moments and edge reads, the window sums, the numerators and lam hold at
+    # most as many values as one H of all the y-grid's columns.
+    per_col = 2 * (vals.size + row_t.size) + (deg + 1) * (tau.size + 1)
+    per_col += (most + deg + 1) * interior.size + (most + 2) * jumps.size
+    step = max(1, vals.size * gy // per_col)
+    bounds = np.cumsum([0] + [j.size * v.shape[1] for v, j in zip(tables, scored)])
+    offsets = np.cumsum([0] + [v.size for v in tables])
 
     allv = np.concatenate(sample.values)
     totals = [0.0] * len(pairs)
-    # H of every padded observation, reused for every h_y; its argument goes
-    # in the spare buffer
-    hu = np.empty((n, m_max, gy))
-    arg = spare[: hu.size].reshape(hu.shape)
     for h_y, idxs in groups.items():
         ygrid = np.linspace(allv.min() - h_y, allv.max() + h_y, gy)
-        np.subtract(ygrid, vals[:, :, None], out=arg)
-        arg /= h_y
-        kernel.cdf(arg, out=hu)
         # The split trapezoid of (1{Y <= y} - f(y))^2 is f^2.tw + (ygrid[-1] - Y) - f.lam,
         # with tw the trapezoid weights.  Y lies in cell c, (ygrid[c - 1], ygrid[c]], a
         # fraction r of the way up, and d = ygrid[c] - Y.  lam is 2 tw above c, and
@@ -219,63 +237,35 @@ def _cv_values(
         cell = np.clip(np.searchsorted(ygrid, jumps), 1, gy - 1)
         frac = (jumps - ygrid[cell - 1]) / (ygrid[cell] - ygrid[cell - 1])
         d = ygrid[cell] - jumps
-        split = np.stack([d * (1.0 - frac), dy[cell] + d * (1.0 + frac)], axis=1)
-        offset = float(np.sum(ygrid[-1] - jumps))
-        h_ts = np.array([pairs[i].h_t for i in idxs])
-        p = h_ts.size
-        for s, e in zip(starts[:-1], starts[1:]):
-            tb = interior[s:e]
-            b = tb.size
-            # the block's scored observations: subject bi at block time bk, in slot bl
-            sel = slice(first[s], first[e])
-            bi, bk, bl = obs_i[sel], obs_k[sel] - s, obs_l[sel]
-            used = int(bl.max()) + 1
-            # time weights of every pair at every block time, (B, P, n, m_max)
-            u = hi[: b * p * n * m_max].reshape(b, p, n, m_max)
-            np.subtract(tb[:, None, None, None], times, out=u)
-            u /= h_ts[:, None, None]
-            a = kernel.density(u, out=lo[: u.size].reshape(u.shape))
-            a *= wts
-            full = (a.reshape(b * p, -1) @ hu.reshape(-1, gy)).reshape(b, p, gy)
-            mass = a.sum(axis=3)
-            denom = mass.sum(axis=2)[bk] - mass[bk, :, bi]  # (K, P)
-            bad = denom <= 0.0
-            if bad.any():
-                # the earliest time, then the first pair, then the first subject
-                now = bk == bk[np.argmax(bad.any(axis=1))]
-                q = int(np.argmax(bad[now].any(axis=0)))
-                k = np.flatnonzero(now & bad[:, q])[0]
-                raise InsufficientDataError(
-                    f"no observations within h_t={pairs[idxs[q]].h_t!r} of t={float(tb[bk[k]])!r} "
-                    f"after leaving out subject {sample.ids[bi[k]]!r}"
-                )
-            # weights of each (subject, slot) at the time where the slot scores
-            own_a = hi[: n * used * p * m_max].reshape(n, used, p, m_max)
-            own_a.fill(0.0)
-            own_a[bi, bl] = a[bk, :, bi]
-            own = lo[: n * used * p * gy].reshape(n, used * p, gy)
-            np.matmul(own_a.reshape(n, used * p, m_max), hu, out=own)
-            # leave-out numerators f * denom of every (subject, slot); unused slots weigh 0
-            rows = bi * used + bl
-            at = np.zeros(n * used, dtype=np.intp)
-            at[rows] = bk
-            num = hi[: n * used * p * gy].reshape(n * used, p, gy)
-            np.take(full, at, axis=0, out=num, mode="clip")  # "raise" would buffer num
-            num -= own.reshape(num.shape)
-            inv = np.zeros((n * used, p))
-            inv[rows] = 1.0 / denom
-            c = np.full(n * used, gy - 1)
-            c[rows] = cell[sel]
-            lam = (np.arange(gy) > c[:, None]) * (2.0 * tw)
-            lam[rows, cell[sel] - 1] = split[sel, 0]
-            lam[rows, cell[sel]] = split[sel, 1]
-            lin = (num @ lam[:, :, None])[..., 0]
+        split = ((cell - 1, d * (1.0 - frac)), (cell, dy[cell] + d * (1.0 + frac)))
+        use = sorted({col[pairs[i].h_t] for i in idxs})
+        own_a = [a[use] for a in own_w]
+        inv_u = inv[:, use].T
+        score = np.zeros(len(use))
+        for c0 in range(0, gy, step):
+            b = min(step, gy - c0)
+            g = (ygrid[c0 : c0 + b] - vals[:, None]) / h_y
+            g = kernel.cdf(g, out=np.empty_like(g))
+            g *= wts[:, None]
+            dt = per_time(g)
+            full = np.stack([_window_sums(dt, *rules[c]) for c in use])  # (h_t, time, column)
+            # own sums, one matmul per grid, turned into leave-out numerators
+            num = np.empty((len(use), jumps.size, b))
+            for v, j, a, s, e, o in zip(tables, scored, own_a, bounds, bounds[1:], offsets):
+                out = num[:, s:e].reshape(len(use), j.size, v.shape[1] * b)
+                np.matmul(a, g[o : o + v.size].reshape(v.shape[0], -1), out=out)
+            for q in range(len(use)):
+                np.subtract(full[q, at], num[q], out=num[q])
+            lam = np.where(np.arange(c0, c0 + b) > cell[:, None], 2.0 * tw[c0 : c0 + b], 0.0)
+            for pos, val in split:
+                hit = np.flatnonzero((pos >= c0) & (pos < c0 + b))
+                lam[hit, pos[hit] - c0] = val[hit]
+            lin = np.einsum("prb,rb->pr", num, lam)
             np.square(num, out=num)
-            score = ((num @ tw) * inv - lin) * inv
-            for idx, v in zip(idxs, score.sum(axis=0)):
-                totals[idx] += float(v)
+            score += (((num @ tw[c0 : c0 + b]) * inv_u - lin) * inv_u).sum(axis=1)
+        offset = float(np.sum(ygrid[-1] - jumps))
         for idx in idxs:
-            totals[idx] += offset
+            totals[idx] = float(score[use.index(col[pairs[idx].h_t])]) + offset
     return totals
 
 

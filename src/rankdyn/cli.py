@@ -142,7 +142,7 @@ class RunConfig:
     h_d: float | None = None
     cv_grid: str | None = None
     eval_points: int = 101
-    trim: str = "auto"
+    trim: str | float = "auto"
     method: str = "both"
     seed: int = 0
     runs: int = 100
@@ -251,9 +251,9 @@ def _resolve_bandwidths(cfg: RunConfig, sample) -> tuple[Bandwidths, CvReport | 
     return default_bandwidths(sample), None
 
 
-def _decompose(cfg: RunConfig, sample, smoothed, kern: Kernel, bw: Bandwidths):
-    """decompose() at --trim ('auto': h_t), with the resolved trim kept for the manifest."""
-    trim = bw.h_t
+def _decomposed(cfg: RunConfig):
+    """(smoothed, kernel, pair, decomposition) at --trim ('auto': h_t), checked before the pipeline."""
+    trim = None
     if str(cfg.trim).strip().lower() != "auto":
         try:
             trim = float(cfg.trim)
@@ -261,8 +261,10 @@ def _decompose(cfg: RunConfig, sample, smoothed, kern: Kernel, bw: Bandwidths):
             raise UsageError(f"--trim must be 'auto' or a number, got {cfg.trim!r}") from None
         if not 0 < trim < 0.5:
             raise DomainError(f"--trim must lie in (0, 0.5), got {trim!r}")
+    sample, smoothed, kern, bw, _ = _pipeline(cfg)
+    trim = bw.h_t if trim is None else trim
     cfg.trim = repr(trim)
-    return decompose(sample, smoothed, bw, trim=trim, kernel=kern)
+    return smoothed, kern, bw, decompose(sample, smoothed, bw, trim=trim, kernel=kern)
 
 
 def _pipeline(cfg: RunConfig, need_bandwidths: bool = True):
@@ -315,11 +317,10 @@ def _cmd_ranks(cfg: RunConfig) -> int:
 
 
 def _cmd_decompose(cfg: RunConfig) -> int:
-    sample, smoothed, kern, bw, _ = _pipeline(cfg)
-    dec = _decompose(cfg, sample, smoothed, kern, bw)
+    _, _, _, dec = _decomposed(cfg)
+    lam = contributions(dec)
     out = _outdir(cfg)
     _write_decomposition(out / "decomposition.csv", dec)
-    lam = contributions(dec)
     _write_json(out / "contributions.json", {"lambda1": lam.lambda1, "lambda2": lam.lambda2})
     if cfg.svg:
         svgplot.line_chart(
@@ -334,8 +335,7 @@ def _cmd_decompose(cfg: RunConfig) -> int:
 
 
 def _cmd_summaries(cfg: RunConfig) -> int:
-    sample, smoothed, kern, bw, _ = _pipeline(cfg)
-    dec = _decompose(cfg, sample, smoothed, kern, bw)
+    smoothed, kern, bw, dec = _decomposed(cfg)
     rks = smooth_ranks(smoothed, bw, kernel=kern)
     subs = subject_summaries(rks, dec)
     pop = population_summaries(dec)

@@ -53,6 +53,15 @@ class DecompositionResult:
     def n(self) -> int:
         return len(self.ids)
 
+    def integrate(self, values) -> np.ndarray:
+        """Trapezoid integral over the trimmed grid (last axis); one point spans no interval."""
+        if self.trimmed_grid.size < 2:
+            raise DegenerateSampleError(
+                "fewer than two evaluation points remain inside [trim, 1 - trim] "
+                f"(trimmed grid {self.trimmed_grid.tolist()}); integrals over it are undefined"
+            )
+        return np.trapezoid(values, self.trimmed_grid, axis=-1)
+
 
 @dataclass(frozen=True)
 class ComponentContributions:
@@ -138,9 +147,8 @@ def contributions(decomp: DecompositionResult) -> ComponentContributions:
     normalizes by the same integral plus the |C2| counterpart; lambda2 is
     its exact complement.
     """
-    grid = decomp.trimmed_grid
-    i1 = float(np.trapezoid(np.mean(np.abs(decomp.c1), axis=0), grid))
-    i2 = float(np.trapezoid(np.mean(np.abs(decomp.c2), axis=0), grid))
+    i1 = float(decomp.integrate(np.mean(np.abs(decomp.c1), axis=0)))
+    i2 = float(decomp.integrate(np.mean(np.abs(decomp.c2), axis=0)))
     total = i1 + i2
     if not total > 1e-12:
         raise DegenerateSampleError(

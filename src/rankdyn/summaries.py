@@ -84,7 +84,7 @@ def subject_summaries(
         ) from exc
     rho, nu = rank_moments(ranks)
     zeta = ranks.ranks[:, ends[1]] - ranks.ranks[:, ends[0]]
-    eta = np.trapezoid(decomp.rprime**2, decomp.trimmed_grid, axis=1)
+    eta = decomp.integrate(decomp.rprime**2)
     return [
         SubjectSummary(sid, float(r), float(v), float(z), float(e))
         for sid, r, v, z, e in zip(ranks.ids, rho, nu, zeta, eta)
@@ -94,5 +94,5 @@ def subject_summaries(
 def population_summaries(decomp: DecompositionResult) -> PopulationSummary:
     """gamma(t) = mean squared rank derivative, M = integral, G = exp(-M)."""
     gamma = np.mean(decomp.rprime**2, axis=0)
-    mixing = float(np.trapezoid(gamma, decomp.trimmed_grid))
+    mixing = float(decomp.integrate(gamma))
     return PopulationSummary(gamma=gamma, mixing=mixing, stability=math.exp(-mixing))

@@ -214,15 +214,17 @@ def _shift_first(sample: FunctionalSample, by: float) -> FunctionalSample:
 class TestGridRuleOracle:
     """select_bandwidths against direct sums on the same 201-point split trapezoid.
 
-    The grid has two h_t per h_y, so with m_max >= 8 a block may score a
-    subject in two or more slots.  The quadrature is the same on both sides,
-    so the values agree to rounding, and a slip in a split-cell weight of the
-    quadratic form shows.
+    The grid has two h_t per h_y, and the ragged subjects are scored at
+    several times each.  The quadrature is the same on both sides, so the
+    values agree to rounding, and a slip in a split-cell weight of the
+    quadratic form shows.  The long shared grid has a small h_t, so the
+    window sums along time read prefix moments over 17 time cells.
     """
 
     GRID = BandwidthGrid(
         [Bandwidths(h_y, h_t) for h_y in (1.4, 0.8) for h_t in (0.3, 0.2)]
     )
+    LONG_GRID = BandwidthGrid([Bandwidths(0.8, 0.06)])
 
     @staticmethod
     def shared():
@@ -234,22 +236,29 @@ class TestGridRuleOracle:
     def ragged():
         sample = ragged_sample(5, seed=3, m_lo=8, m_hi=12)
         interior = [int(np.sum((t > 0.3) & (t < 0.7))) for t in sample.times]
-        # slots per subject m_max // (2 * 2) >= 2, and subjects scored more than once
+        # subjects of unequal length, each scored at two or more times
         assert max(t.size for t in sample.times) >= 8 and min(interior) >= 2
         return sample
 
+    @staticmethod
+    def long_shared():
+        rng = np.random.default_rng(11)
+        grid = np.linspace(0.0, 1.0, 61)
+        return FunctionalSample.from_matrix(grid, rng.normal(size=(3, 1)) + np.sin(5 * grid) * rng.normal(size=(3, 1)))
+
     @pytest.mark.parametrize("kernel", [EPANECHNIKOV, BIWEIGHT], ids=lambda k: k.name)
-    @pytest.mark.parametrize("case", ["shared", "ragged", "ragged_shift_500"])
+    @pytest.mark.parametrize("case", ["shared", "ragged", "ragged_shift_500", "long_shared"])
     def test_matches_direct_sums(self, case, kernel):
-        sample = self.shared() if case == "shared" else self.ragged()
+        grid = self.LONG_GRID if case == "long_shared" else self.GRID
+        sample = {"shared": self.shared, "long_shared": self.long_shared}.get(case, self.ragged)()
         if case == "ragged_shift_500":
             sample = _shift_first(sample, 500.0)
-        report = select_bandwidths(sample, self.GRID, kernel)
+        report = select_bandwidths(sample, grid, kernel)
         times = [list(t) for t in sample.times]
         values = [list(v) for v in sample.values]
         for entry in report.entries:
             ref = grid_cv_objective(
-                times, values, entry.bw.h_y, entry.bw.h_t, self.GRID.h_max, kernel.name
+                times, values, entry.bw.h_y, entry.bw.h_t, grid.h_max, kernel.name
             )
             assert entry.value == pytest.approx(ref, rel=1e-12, abs=0.0)
 
@@ -301,8 +310,8 @@ class TestSelectBandwidths:
 
 
 def test_memory_grows_linearly_in_subjects():
-    # H and its argument are two (n, m_max, y-grid) buffers per call, and the
-    # per-block weights and own sums are O(n); nothing may grow as n^2
+    # a column block's buffers are O(N) and the block width is sized from N;
+    # nothing may grow as n^2
     peaks = []
     for n in (60, 240):
         sample = ragged_sample(n, seed=n)
@@ -317,8 +326,8 @@ def test_memory_grows_linearly_in_subjects():
 
 
 def test_peak_memory_is_two_kernel_cdf_buffers(sim200):
-    # one (n, m_max, y-grid) buffer each for H and its argument, allocated
-    # once per call; a fresh H per h_y or per block would exceed the bound
+    # a column block's buffers stay within one (N, y-grid) H; H and its
+    # argument held at full width beside them would exceed the bound
     sample = sim200.sample
     one = sample.n * max(t.size for t in sample.times) * 201 * 8
     tracemalloc.start()
@@ -331,8 +340,8 @@ def test_peak_memory_is_two_kernel_cdf_buffers(sim200):
 
 
 def test_peak_memory_on_a_ragged_grid():
-    # the same bound as on the shared grid: a block's time weights, own sums
-    # and leave-out numerators live in the spare buffer, not beside it
+    # the same bound as on the shared grid: no row is padded, and the time
+    # weights, own sums and leave-out numerators are sized per column block
     sample = ragged_sample(60, seed=60)
     one = sample.n * max(t.size for t in sample.times) * 201 * 8
     tracemalloc.start()

@@ -109,6 +109,44 @@ class TestDecomposeCommand:
         assert ts.min() >= 0.3 - 1e-12 and ts.max() <= 0.7 + 1e-12
 
 
+@pytest.mark.parametrize("command, files", [
+    ("decompose", ["decomposition.csv", "contributions.json"]),
+    ("summaries", ["subject_summaries.csv", "population.json"]),
+])
+def test_one_trimmed_point_exits_1_and_writes_nothing(command, files, data_csv, tmp_path, capsys):
+    # the evaluation grid {0, 0.5, 1} keeps only 0.5 inside [0.2, 0.8]
+    out = tmp_path / "o"
+    assert main([command, "--input", str(data_csv), "--h-y", "0.8", "--h-t", "0.2",
+                 "--eval-points", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: fewer than two evaluation points remain inside [trim, 1 - trim]")
+    assert "Traceback" not in err
+    assert not any((out / name).exists() for name in files)
+
+
+def test_trim_from_config_number_matches_flag(data_csv, tmp_path):
+    out = tmp_path / "o"
+    args = ["summaries", "--input", str(data_csv), "--h-y", "0.8", "--h-t", "0.2", "--out", str(out)]
+    written = []
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trim": 0.3}))
+    for extra in (["--trim", "0.3"], ["--config", str(cfg)]):
+        assert main(args + extra) == 0
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert written[0] == written[1]
+    assert json.loads(written[0]["run_manifest.json"])["trim"] == "0.3"
+
+
+def test_malformed_trim_fails_before_cv(data_csv, tmp_path, monkeypatch, capsys):
+    def no_cv(*args, **kwargs):
+        raise AssertionError("select_bandwidths ran before --trim was checked")
+
+    monkeypatch.setattr(cli, "select_bandwidths", no_cv)
+    assert main(["decompose", "--input", str(data_csv), "--cv-grid", "default",
+                 "--trim", "abc", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("usage error: --trim")
+
+
 class TestSummariesCommand:
     def test_outputs(self, data_csv, tmp_path):
         out = tmp_path / "out"

@@ -186,3 +186,8 @@ class TestContributions:
         zero = np.zeros((2, 5))
         with pytest.raises(DegenerateSampleError):
             contributions(self._result(zero, zero))
+
+    def test_one_trimmed_point_is_not_a_flat_population(self):
+        one = np.ones((2, 1))
+        with pytest.raises(DegenerateSampleError, match=r"fewer than two evaluation points remain inside \[trim, 1 - trim\]"):
+            contributions(self._result(one, one))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rankdyn.dynamics import DecompositionResult, decompose
-from rankdyn.errors import GridMismatchError
+from rankdyn.errors import DegenerateSampleError, GridMismatchError
 from rankdyn.ranks import RankTrajectories, default_bandwidths, smooth_ranks
 from rankdyn.sample import FunctionalSample, presmooth
 from rankdyn.simulation import SimModel, generate_sample, true_values
@@ -118,6 +118,17 @@ def test_grid_mismatch_rejected():
     other = np.linspace(0.21, 0.81, 7)
     dec = _decomp(other, np.zeros((2, 7)))
     with pytest.raises(GridMismatchError):
+        subject_summaries(ranks, dec)
+
+
+def test_one_trimmed_point_has_no_integral():
+    # a single point spans no interval: M would read 0 and G 1 whatever gamma is
+    grid = np.linspace(0, 1, 3)
+    ranks = _ranks(grid, np.array([[0.0, 0.25, 0.5], [0.5, 0.25, 0.0]]))
+    dec = _decomp(grid[1:2], np.array([[0.3], [-0.3]]))
+    with pytest.raises(DegenerateSampleError, match=r"fewer than two evaluation points remain inside \[trim, 1 - trim\]"):
+        population_summaries(dec)
+    with pytest.raises(DegenerateSampleError, match="fewer than two evaluation points"):
         subject_summaries(ranks, dec)
 
 
