@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError, InsufficientDataError
-from ._engine import _cell_moments, _expansion, _powers
+from ._engine import _expansion, _powers
 from .kernels import EPANECHNIKOV, Kernel
 from .ranks import Bandwidths
 from .sample import FunctionalSample, pooled_std
@@ -127,11 +127,13 @@ class CvReport:
 
 
 def _window_rule(tau: np.ndarray, ts: np.ndarray, h_t: float, expand: np.ndarray):
-    """(u, edges, coef) reading kernel sums at ``ts`` off prefix moments along ``tau``.
+    """(vpow, edges, coef) reading kernel sums at ``ts`` off prefix moments along ``tau``.
 
-    ``tau`` holds the sorted distinct times, in cells of width h_t; u = tau / h_t.
-    ``edges`` (S, E) cuts each window, tau[edges[:, 0]:edges[:, -1]], at its cell
-    edges, and ``coef`` (S, E, deg) weighs the moments there; ``expand`` expands K.
+    ``tau`` holds the sorted distinct times, in cells of width h_t, and
+    ``vpow`` (T, deg) the powers of each one's offset from its cell's centre,
+    in units of h_t.  ``edges`` (S, E) cuts each window, tau[edges[:, 0]:edges[:, -1]],
+    at its cell edges, and ``coef`` (S, 1, E deg) weighs the moments there;
+    ``expand`` expands K.
     """
     u = tau / h_t
     cell = np.floor(u)
@@ -144,13 +146,19 @@ def _window_rule(tau: np.ndarray, ts: np.ndarray, h_t: float, expand: np.ndarray
     # from a cell's centre; a cell's sum is its two edges' moments apart
     z = ts[:, None] / h_t - (first[:, None] + np.arange(edges.shape[1] - 1) + 0.5)
     per_cell = _powers(z, expand.shape[0]) @ expand
-    return u, edges, -np.diff(np.pad(per_cell, ((0, 0), (1, 1), (0, 0))), axis=1)
+    coef = -np.diff(np.pad(per_cell, ((0, 0), (1, 1), (0, 0))), axis=1)
+    return _powers(u - cell - 0.5, expand.shape[0]), edges, coef.reshape(ts.size, 1, -1)
 
 
-def _window_sums(d: np.ndarray, u: np.ndarray, edges: np.ndarray, coef: np.ndarray) -> np.ndarray:
+def _window_sums(d: np.ndarray, vpow: np.ndarray, edges: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """sum_tau K((ts - tau) / h_t) d[tau] for per-time data ``d`` (T, columns); (S, columns)."""
-    mom = _cell_moments(u, d[:, None], coef.shape[2])[1][:, 0]
-    return sum(coef[:, e : e + 1] @ mom[edges[:, e]] for e in range(edges.shape[1]))[:, 0]
+    # prefix moments about the cell centres: mom[i, r] = sum_{tau < i} d[tau] v_tau^r
+    mom = np.empty((d.shape[0] + 1, vpow.shape[1], d.shape[1]))
+    mom[0] = 0.0
+    np.multiply(vpow[:, :, None], d[:, None, :], out=mom[1:])
+    np.cumsum(mom[1:], axis=0, out=mom[1:])
+    # every edge of every window in one gather, weighed in one batched matmul
+    return (coef @ mom[edges].reshape(edges.shape[0], -1, d.shape[1]))[:, 0]
 
 
 def _cv_values(
@@ -218,8 +226,9 @@ def _cv_values(
     # Columns per block: G, H's argument and their per-time sums, one h_t's
     # moments and edge reads, the window sums, the numerators and lam hold at
     # most as many values as one H of all the y-grid's columns.
+    reads = max(e.shape[1] for _, e, _ in rules) * deg
     per_col = 2 * (vals.size + row_t.size) + (deg + 1) * (tau.size + 1)
-    per_col += (most + deg + 1) * interior.size + (most + 2) * jumps.size
+    per_col += (most + reads + 1) * interior.size + (most + 2) * jumps.size
     step = max(1, vals.size * gy // per_col)
     bounds = np.cumsum([0] + [j.size * v.shape[1] for v, j in zip(tables, scored)])
     offsets = np.cumsum([0] + [v.size for v in tables])

@@ -17,9 +17,8 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
-from itertools import chain, repeat
 from pathlib import Path
-from typing import get_type_hints
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .errors import DataError, DomainError
 from .kernels import Kernel, get_kernel
 from .ranks import Bandwidths, default_bandwidths, empirical_ranks, smooth_ranks
 from .sample import (
+    _BATCH_ROWS as _ROWS_PER_WRITE,
     default_presmooth_bandwidth,
     load_long_csv,
     load_wide_csv,
@@ -43,10 +43,6 @@ __all__ = ["main"]
 
 class UsageError(Exception):
     pass
-
-
-# rows joined into one string per write: bounds the writer's memory, not its output
-_ROWS_PER_WRITE = 8192
 
 
 def _write_atomic(path: Path, parts) -> None:
@@ -64,53 +60,79 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _fmt_column(x) -> list[str]:
-    """The elements of ``x`` as CSV fields: repr of each as a Python float.
+# A table is (number of rows, columns).  A column is a function from an
+# array of row numbers to the list of those rows' CSV fields.
 
-    Each distinct float64 bit pattern is formatted once and its string
+
+def _fmt_column(x) -> Callable[[np.ndarray], list[str]]:
+    """The elements of ``x`` as a column of CSV fields: repr of each as a Python float.
+
+    The string of each distinct float64 bit pattern is formatted once and
     shared by every element that holds it; rank columns repeat a few
-    thousand values across hundreds of thousands of fields.  Keying on bits,
-    not values, keeps 0.0 and -0.0 apart.
+    thousand values across hundreds of thousands of fields.  A call looks
+    up only the rows asked for: their own distinct patterns, sorted, are
+    found among all of them in one sweep.  Keying on bits, not values,
+    keeps 0.0 and -0.0 apart.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    bits, inverse = np.unique(x.view(np.uint64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    return text[inverse].tolist()
+    bits = np.ascontiguousarray(x, dtype=np.float64).reshape(-1).view(np.uint64)
+    # the distinct patterns, sorted; numpy 2.4's np.unique hashes uint64 and takes 4x as long
+    keys = np.sort(bits)
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    text = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+
+    def fields(rows: np.ndarray) -> list[str]:
+        own, at = np.unique(bits[rows], return_inverse=True)
+        return text[np.searchsorted(keys, own)[at]].tolist()
+
+    return fields
 
 
-def _grid_table(ids: list[str], grid, *fields) -> list[list[str]]:
+def _text_column(fields: list[str]) -> Callable[[np.ndarray], list[str]]:
+    text = np.array(fields, dtype=object)
+    return lambda rows: text[rows].tolist()
+
+
+def _grid_table(ids: list[str], grid, *fields) -> tuple[int, list]:
     """Columns id, t and one per (n, G) field, a row per subject and grid point."""
-    id_col = list(chain.from_iterable(repeat(q, len(grid)) for q in map(_csv_field, ids)))
-    return [id_col, _fmt_column(grid) * len(ids), *map(_fmt_column, fields)]
+    g = len(grid)
+    id_text = np.array(list(map(_csv_field, ids)), dtype=object)
+    t_text = np.array(list(map(repr, np.asarray(grid, dtype=float).tolist())), dtype=object)
+    columns = [
+        lambda rows: id_text[rows // g].tolist(),
+        lambda rows: t_text[rows % g].tolist(),
+        *map(_fmt_column, fields),
+    ]
+    return len(ids) * g, columns
 
 
 def _csv_chunks(header: list[str], tables):
     """The CSV text of the header and the tables' rows, a bounded number of rows at a time."""
     yield ",".join(header) + "\n"
-    for columns in tables:
-        for a in range(0, len(columns[0]), _ROWS_PER_WRITE):
-            rows = zip(*[col[a:a + _ROWS_PER_WRITE] for col in columns])
-            yield "\n".join(map(",".join, rows)) + "\n"
+    for size, columns in tables:
+        for a in range(0, size, _ROWS_PER_WRITE):
+            rows = np.arange(a, min(a + _ROWS_PER_WRITE, size))
+            yield "\n".join(map(",".join, zip(*[col(rows) for col in columns]))) + "\n"
 
 
-def _write_csv(path: Path, header: list[str], *tables: list[list[str]]) -> None:
-    """Write tables of equal-length field columns, one after another, as one CSV."""
+def _write_csv(path: Path, header: list[str], *tables) -> None:
+    """Write tables of equal-length columns, one after another, as one CSV."""
     _write_atomic(path, _csv_chunks(header, tables))
 
 
-def _attr_columns(items, names: list[str]) -> list[list[str]]:
+def _attr_columns(items, names: list[str]) -> list:
     """One float column per attribute name, a row per item."""
     return [_fmt_column([getattr(item, name) for item in items]) for name in names]
 
 
 def _write_ranks(path: Path, sets) -> None:
-    tables = [
+    def table(rk):
         # ranks are clamped into [0, 1]; adding 0.0 turns -0.0 into 0.0
-        [*_grid_table(rk.ids, rk.eval_grid, np.clip(rk.ranks, 0.0, 1.0) + 0.0),
-         [rk.method] * rk.ranks.size]
-        for rk in sets
-    ]
-    _write_csv(path, ["id", "t", "rank", "method"], *tables)
+        size, columns = _grid_table(rk.ids, rk.eval_grid, np.clip(rk.ranks, 0.0, 1.0) + 0.0)
+        return size, [*columns, lambda rows: [rk.method] * rows.size]
+
+    _write_csv(path, ["id", "t", "rank", "method"], *map(table, sets))
 
 
 def _write_decomposition(path: Path, dec) -> None:
@@ -120,8 +142,8 @@ def _write_decomposition(path: Path, dec) -> None:
 
 def _write_subject_summaries(path: Path, subs) -> None:
     names = ["rho", "nu", "zeta", "eta"]
-    table = [[_csv_field(s.id) for s in subs], *_attr_columns(subs, names)]
-    _write_csv(path, ["id", *names], table)
+    columns = [_text_column([_csv_field(s.id) for s in subs]), *_attr_columns(subs, names)]
+    _write_csv(path, ["id", *names], (len(subs), columns))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -362,8 +384,8 @@ def _cmd_cv(cfg: RunConfig) -> int:
     report = select_bandwidths(sample, grid, kernel=kern)
     out = _outdir(cfg)
     bws = [e.bw for e in report.entries]
-    table = [*_attr_columns(bws, ["h_y", "h_t"]), *_attr_columns(report.entries, ["value"])]
-    _write_csv(out / "cv_report.csv", ["h_y", "h_t", "cv_value"], table)
+    columns = [*_attr_columns(bws, ["h_y", "h_t"]), *_attr_columns(report.entries, ["value"])]
+    _write_csv(out / "cv_report.csv", ["h_y", "h_t", "cv_value"], (len(bws), columns))
     _write_json(out / "chosen.json", {"h_y": report.chosen.h_y, "h_t": report.chosen.h_t})
     cfg.h_y, cfg.h_t = report.chosen.h_y, report.chosen.h_t
     _manifest(cfg, out)
@@ -390,13 +412,16 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         workers=int(cfg.threads),
     )
     out = _outdir(cfg)
-    keys = [[str(r.run) for r in report.rows], [str(r.n) for r in report.rows]]
+    rows = len(report.rows)
+    keys = [_text_column([str(r.run) for r in report.rows]),
+            _text_column([str(r.n) for r in report.rows])]
     names = ["h_y_cv", "h_t_cv", "h_y_opt", "h_t_opt",
              "mise_c1_cv", "mise_c2_cv", "mise_c1_opt", "mise_c2_opt"]
-    _write_csv(out / "report.csv", ["run", "n", *names], [*keys, *_attr_columns(report.rows, names)])
+    _write_csv(out / "report.csv", ["run", "n", *names],
+               (rows, [*keys, *_attr_columns(report.rows, names)]))
     names = ["err_rho", "err_nu", "err_zeta"]
     _write_csv(out / "summary_errors.csv", ["run", "n", *names],
-               [*keys, *_attr_columns(report.rows, names)])
+               (rows, [*keys, *_attr_columns(report.rows, names)]))
     if cfg.svg:
         for label, key in [("cv", lambda r: r.mise_c1_cv + r.mise_c2_cv),
                            ("opt", lambda r: r.mise_c1_opt + r.mise_c2_opt)]:

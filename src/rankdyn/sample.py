@@ -6,22 +6,23 @@ in its own bin ((j-1)/m, j/m], or (permissive rule, needed for grids of the
 form {j/m : j = 0..m} that include t = 0) no gap between consecutive
 points, or between the domain edges and the extreme points, exceeds 2/m.
 
-Ingestion works on columns.  Both loaders stream the reader's records into
-one flat field list plus a list of record widths, so no Python container
-per row stays alive, and parse each column with Python's ``float`` in one
-pass.  Only when a check fails are the records walked one by one, to name
-the first bad record.  The long format is then sorted with one lexsort and
-split into subjects, and each distinct observation grid is validated once,
-however many subjects share it.  Input is UTF-8, with or without a
-byte-order mark.
+Ingestion works on columns, a batch of records at a time.  Both loaders
+parse each batch's columns with Python's ``float`` into arrays and drop its
+strings before reading the next, so memory is bounded by the batch, not the
+file.  Only when a check fails are the batch's records walked one by one,
+to name the first bad record.  The long format is then sorted with one
+lexsort and split into subjects, and each distinct observation grid is
+validated once, however many subjects share it.  Input is UTF-8, with or
+without a byte-order mark.
 
 Presmoothing fits a local quadratic with kernel weights around every point
 of a uniform evaluation grid; the intercept is the fitted value, the linear
 coefficient the first derivative.  The fit is a linear smoother whose
 weights depend only on the observation grid, so there is one smoother per
 distinct grid: its kernel-weighted design and the factors of its (G, 3, 3)
-local moment matrices are built once and fit all subjects on that grid
-together, with one matmul for their weighted responses.
+local moment matrices are built once, one matmul gives the weighted
+responses of all subjects on that grid, and the solves run a batch of
+subjects at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -53,6 +55,8 @@ __all__ = [
 ]
 
 _GRID_TOL = 1e-9
+# records read, values smoothed or rows written per batch: bounds memory, not the result
+_BATCH_ROWS = 8192
 
 
 def _validate_grid(t: np.ndarray, subject: str) -> None:
@@ -189,40 +193,62 @@ def _open_text(source):
     return fh, fh.close
 
 
-def _read_records(source) -> tuple[list[str] | None, list[int], list[str]]:
-    """The header record, then the fields of all later records in one flat list.
+def _record_batches(source):
+    """Yield the header record (None for an empty input), then per batch of
+    at most ``_BATCH_ROWS`` later records: the line number of its first
+    record, each record's width (0 for a blank record) and all their fields
+    in one flat list.
 
-    Also returns each later record's width (0 for a blank record).  No list
-    per record outlives its turn, so the cyclic garbage collector has no
-    per-row containers to scan again and again while a large file is read.
+    No list per record outlives its turn, so the cyclic garbage collector
+    has no per-row containers to scan again and again while a large file
+    is read.  A read error, bytes that are not UTF-8 or a ``csv.Error`` such
+    as an unclosed quote, raises CsvFormatError when the reader reaches it;
+    line numbers count records, blank ones included.  The source is
+    released once the generator is exhausted or closed.
     """
     fh, release = _open_text(source)
-    header = None
-    fields: list[str] = []
-    widths: list[int] = []
+    line_no, widths = 1, []
     try:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        for record in reader:
-            widths.append(len(record))
-            fields += record
+        yield next(reader, None)
+        line_no = 2
+        while True:
+            widths, fields = [], []
+            for record in islice(reader, _BATCH_ROWS):
+                widths.append(len(record))
+                fields += record
+            if not widths:
+                return
+            yield line_no, widths, fields
+            line_no += len(widths)
     except UnicodeDecodeError:
         raise CsvFormatError("input is not valid UTF-8") from None
     except csv.Error as exc:   # e.g. an unclosed quote that runs past the field size limit
-        line_no = 1 if header is None else len(widths) + 2
-        raise CsvFormatError(f"line {line_no}: {exc}") from None
+        raise CsvFormatError(f"line {line_no + len(widths)}: {exc}") from None
     finally:
         release()
-    return header, widths, fields
 
 
-def _records(widths: list[int], fields: list[str]):
-    """(line number, fields) of each non-blank record, in file order."""
-    start = 0
-    for line_no, width in enumerate(widths, start=2):
-        if width:
-            yield line_no, fields[start:start + width]
-        start += width
+def _read_batches(source, header_error, parse) -> tuple[list[str], list]:
+    """The header and ``parse(header, line number, widths, fields)`` of each batch, in order.
+
+    ``header_error(header)`` gives the header's error or None.  A header or
+    record error is raised only once the whole input has been read, so a
+    read error anywhere comes first; no batch after a bad one is parsed.
+    """
+    batches = _record_batches(source)
+    header = next(batches)
+    error = header_error(header)
+    parts = []
+    for batch in batches:
+        if error is None:
+            try:
+                parts.append(parse(header, *batch))
+            except DataError as exc:
+                error = exc
+    if error is not None:
+        raise error
+    return header, parts
 
 
 def _parse_float(text: str, what: str, line_no: int) -> float:
@@ -272,6 +298,21 @@ def _finite_in_domain(t: np.ndarray, values: np.ndarray) -> bool:
     return bool(np.all((t >= 0.0) & (t <= 1.0)) and np.all(np.isfinite(values)))
 
 
+def _first_bad_record(line_no: int, widths: list[int], fields: list[str], check) -> None:
+    """Raise ``check(record, line number)``'s error for the first bad non-blank record."""
+    start = 0
+    for k, width in enumerate(widths, start=line_no):
+        if width:
+            check(fields[start:start + width], k)
+        start += width
+
+
+def _long_header_error(header: list[str] | None) -> CsvFormatError | None:
+    if header is None or [c.strip().lower() for c in header] != ["id", "time", "value"]:
+        return CsvFormatError("expected header 'id,time,value'")
+    return None
+
+
 def load_long_csv(source) -> FunctionalSample:
     """Read a long-format CSV (``id,time,value``) into a FunctionalSample.
 
@@ -287,58 +328,65 @@ def load_long_csv(source) -> FunctionalSample:
     checked column by column; an error names the first bad record, counting
     blank records.
     """
-    header, widths, fields = _read_records(source)
-    if header is None or [c.strip().lower() for c in header] != ["id", "time", "value"]:
-        raise CsvFormatError("expected header 'id,time,value'")
-    if not fields:
+    ids: dict[str, int] = {}   # id -> subject code, in first-appearance order
+
+    def parse(header, line_no, widths, fields):
+        t = v = None
+        if set(widths) <= {0, 3}:
+            sids = list(map(str.strip, fields[0::3]))
+            t, v = _parse_columns(fields[1::3]), _parse_columns(fields[2::3])
+        if t is None or v is None or "" in sids or not _finite_in_domain(t, v):
+            _first_bad_record(line_no, widths, fields, _check_record)
+        for sid in dict.fromkeys(sids):
+            ids.setdefault(sid, len(ids))
+        return np.fromiter(map(ids.__getitem__, sids), np.intp, len(sids)), t, v
+
+    _, parts = _read_batches(source, _long_header_error, parse)
+    if not any(p[0].size for p in parts):
         raise CsvFormatError("no data rows found")
-    t = v = None
-    if set(widths) <= {0, 3}:
-        sids = list(map(str.strip, fields[0::3]))
-        t, v = _parse_columns(fields[1::3]), _parse_columns(fields[2::3])
-    if t is None or v is None or "" in sids or not _finite_in_domain(t, v):
-        # some record is bad: find the first one, numbered as read
-        for line_no, record in _records(widths, fields):
-            _check_record(record, line_no)
-    del fields
-    ids = list(dict.fromkeys(sids))   # first-appearance order
-    code = {sid: i for i, sid in enumerate(ids)}
-    subject = np.fromiter(map(code.__getitem__, sids), np.intp, len(sids))
+    subject, t, v = map(np.concatenate, zip(*parts))
     order = np.lexsort((t, subject))
     subject, t, v = subject[order], t[order], v[order]
+    names = list(ids)
     dup = (subject[1:] == subject[:-1]) & (t[1:] == t[:-1])
     if dup.any():
-        sid = ids[subject[np.argmax(dup)]]
-        raise DuplicateTimeError(f"subject {sid!r} has duplicate (id, time) rows")
+        raise DuplicateTimeError(f"subject {names[subject[np.argmax(dup)]]!r} has duplicate (id, time) rows")
     edges = [0, *(np.flatnonzero(subject[1:] != subject[:-1]) + 1).tolist(), subject.size]
     spans = list(zip(edges[:-1], edges[1:]))
-    return FunctionalSample(ids, [t[a:b] for a, b in spans], [v[a:b] for a, b in spans])
+    return FunctionalSample(names, [t[a:b] for a, b in spans], [v[a:b] for a, b in spans])
+
+
+def _wide_header_error(header: list[str] | None) -> CsvFormatError | None:
+    if header is None or len(header) < 2 or header[0].strip().lower() != "time":
+        return CsvFormatError("expected header 'time,<id>,<id>,...'")
+    return None
+
+
+def _parse_wide(header: list[str], line_no: int, widths: list[int], fields: list[str]) -> np.ndarray:
+    """One batch of wide records as a (records, width) table; blank records are skipped."""
+    width = len(header)
+    table = _parse_columns(fields) if set(widths) <= {0, width} else None
+    if table is None or not _finite_in_domain(table[0::width], table):
+        _first_bad_record(line_no, widths, fields, lambda row, k: _check_wide_record(row, width, k))
+    return table.reshape(-1, width)
 
 
 def load_wide_csv(source) -> FunctionalSample:
     """Read a wide-format CSV (``time,id1,id2,...``), one column per subject.
 
-    It is read like the long format: all fields parsed at once, and only on
-    failure checked record by record, so an error names the first bad record.
+    It is read like the long format: a batch of records at a time, each
+    batch's fields parsed at once and only on failure checked record by
+    record, so an error names the first bad record.
     """
-    header, widths, fields = _read_records(source)
-    if header is None or len(header) < 2 or header[0].strip().lower() != "time":
-        raise CsvFormatError("expected header 'time,<id>,<id>,...'")
-    ids = [c.strip() for c in header[1:]]
-    width = len(header)
-    if not fields:
+    header, parts = _read_batches(source, _wide_header_error, _parse_wide)
+    if not any(p.size for p in parts):
         raise CsvFormatError("no data rows found")
-    table = _parse_columns(fields) if set(widths) <= {0, width} else None
-    if table is None or not _finite_in_domain(table[0::width], table):
-        for line_no, record in _records(widths, fields):
-            _check_wide_record(record, width, line_no)
-    del fields
-    table = table.reshape(-1, width)
+    table = np.concatenate(parts)
     order = np.argsort(table[:, 0], kind="stable")
     grid = table[order, 0]
     if np.any(np.diff(grid) == 0.0):
         raise DuplicateTimeError("duplicate time rows in wide CSV")
-    return FunctionalSample.from_matrix(grid, table[order, 1:].T, ids=ids)
+    return FunctionalSample.from_matrix(grid, table[order, 1:].T, ids=[c.strip() for c in header[1:]])
 
 
 def pooled_std(sample: FunctionalSample) -> float:
@@ -355,12 +403,14 @@ def default_presmooth_bandwidth(sample: FunctionalSample) -> float:
     return max(0.15, 3.0 / m_min)
 
 
-def _fit_grid(
-    t: np.ndarray, y: np.ndarray, grid: np.ndarray, h_d: float, kernel: Kernel, sid: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Local-quadratic values and derivatives, each (k, G), of the k rows of ``y`` on grid ``t``.
+def _grid_smoother(t: np.ndarray, grid: np.ndarray, h_d: float, kernel: Kernel, sid: str):
+    """The local-quadratic smoother of observation grid ``t``: (design, solve).
 
-    ``sid`` is the first subject observed on ``t``, named in error messages.
+    ``design`` (3 G, m) holds the kernel-weighted design rows w x^p.  The
+    weighted responses of k subjects, ``design @ y.T`` as (3, G, k), go to
+    ``solve``, which returns their values and derivatives, each (k, G), at
+    the points of ``grid``.  ``sid`` is the first subject observed on ``t``,
+    named in error messages.
     """
     x = (t[None, :] - grid[:, None]) / h_d          # (G, m), scaled offsets
     w = kernel.density(x)
@@ -387,13 +437,17 @@ def _fit_grid(
     d2 = s4 - l20 * s2 - l21 * l21 * d1
     if not np.all((s0 > 0.0) & (d1 > 0.0) & (d2 > 0.0)):
         raise InsufficientDataError(f"subject {sid!r}: singular local design; increase h_d")
-    # weighted responses of all k subjects in one matmul, then A b = r per (g, subject)
-    r0, r1, r2 = (design.reshape(-1, t.size) @ y.T).reshape(3, grid.size, -1)
-    r1 = r1 - l10 * r0
-    b2 = (r2 - l20 * r0 - l21 * r1) / d2
-    b1 = r1 / d1 - l21 * b2
-    b0 = r0 / s0 - l10 * b1 - l20 * b2
-    return b0.T, b1.T / h_d
+
+    def solve(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # A b = r per (g, subject)
+        r0, r1, r2 = r
+        r1 = r1 - l10 * r0
+        b2 = (r2 - l20 * r0 - l21 * r1) / d2
+        b1 = r1 / d1 - l21 * b2
+        b0 = r0 / s0 - l10 * b1 - l20 * b2
+        return b0.T, b1.T / h_d
+
+    return design.reshape(-1, t.size), solve
 
 
 def presmooth(
@@ -414,9 +468,11 @@ def presmooth(
     The fit is linear in the observed values, with weights that depend only
     on the observation grid, so it is done once per distinct grid, in order
     of the grid's first subject.  The weighted design rows w x^p and the
-    L D L^T factors of the 3x3 moment matrices are built once per grid; one
-    matmul gives the weighted responses of all subjects on the grid, and the
-    triangular solves run on all of them at once.
+    L D L^T factors of the 3x3 moment matrices are built once per grid, and
+    one matmul gives the weighted responses of all subjects on the grid.
+    The triangular solves then run on a batch of at most ``_BATCH_ROWS``
+    output values (subjects x evaluation points) at a time, written
+    straight into the output arrays.
 
     Raises InsufficientDataError, naming the first subject on the grid,
     when fewer than 3 observations fall inside the window around an
@@ -431,10 +487,15 @@ def presmooth(
     grid = np.linspace(0.0, 1.0, int(eval_grid_size))
     vals = np.empty((sample.n, grid.size))
     derivs = np.empty((sample.n, grid.size))
+    step = max(1, _BATCH_ROWS // grid.size)   # subjects per batch
     for members in sample.grid_groups:
         first = members[0]
-        y = np.vstack([sample.values[i] for i in members])   # (k, m)
-        vals[members], derivs[members] = _fit_grid(
-            sample.times[first], y, grid, h_d, kernel, sample.ids[first]
-        )
+        design, solve = _grid_smoother(sample.times[first], grid, h_d, kernel, sample.ids[first])
+        # Weighted responses of all the grid's subjects in one matmul: BLAS
+        # may round a subject's sums differently in a call over fewer subjects.
+        y = np.vstack([sample.values[i] for i in members])
+        r = (design @ y.T).reshape(3, grid.size, -1)
+        for a in range(0, len(members), step):
+            batch = members[a:a + step]
+            vals[batch], derivs[batch] = solve(r[:, :, a:a + step])
     return SmoothedSample(list(sample.ids), grid, vals, derivs, float(h_d))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -334,6 +335,52 @@ class TestWriterMatchesRowByRowOracle:
             args = [command, "--input", str(odd_ids_csv), "--out", str(out), "--h-y", "0.8", "--h-t", "0.2"]
             assert main(args) == 0
             self._check(out / name, text)
+
+
+def test_ingest_memory_is_bounded_by_the_batch(tmp_path, monkeypatch):
+    # CSV in, ranks.csv out on 5000 curves of 32 points: each stage holds
+    # arrays and one batch of strings, never a Python string per field or per
+    # output row, which would take 37-54 MB a stage on this input
+    n, m = 5000, 32
+    grid = np.arange(m) / (m - 1)
+    rng = np.random.default_rng(21)
+    values = rng.normal(size=(n, 1)) + np.sin(2 * np.pi * grid) * rng.normal(1.0, 0.2, size=(n, 1))
+    path = tmp_path / "in.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("id,time,value\n")
+        for i, row in enumerate(values.tolist()):
+            fh.writelines(f"s{i:05d},{t!r},{v!r}\n" for t, v in zip(grid.tolist(), row))
+
+    # one traced run of the command; each stage's peak is counted above what
+    # the stages before it left allocated
+    peaks = {"op": 0}
+
+    def traced(name, fn):
+        def call(*args, **kwargs):
+            held, before = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            result = fn(*args, **kwargs)
+            after = tracemalloc.get_traced_memory()[1]
+            peaks[name] = after - held
+            peaks["op"] = max(peaks["op"], before, after)
+            return result
+        return call
+
+    for name in ("load_long_csv", "presmooth", "_write_ranks"):
+        monkeypatch.setattr(cli, name, traced(name, getattr(cli, name)))
+    args = ["ranks", "--input", str(path), "--out", str(tmp_path / "out"), "--method", "empirical"]
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        peaks["op"] = max(peaks["op"], tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    parsed = 3 * n * m * 8   # subject codes, times and values
+    one = n * 101 * 8        # one (n, G) array on the default evaluation grid
+    assert peaks["load_long_csv"] <= 5 * parsed
+    assert peaks["presmooth"] <= 6 * one   # values, derivatives and the 3 weighted responses
+    assert peaks["_write_ranks"] <= 5 * one
+    assert peaks["op"] <= 10 * one
 
 
 @pytest.mark.parametrize(

@@ -118,7 +118,10 @@ SIGNED = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1
 @given(hnp.arrays(np.float64, st.integers(0, 40),
                   elements=st.one_of(SIGNED, st.floats(allow_nan=True, allow_infinity=True))))
 def test_fmt_column_is_the_repr_of_each_element(x):
-    assert _fmt_column(x) == [repr(v) for v in x.tolist()]
+    fields = _fmt_column(x)(np.arange(x.size))
+    assert fields == [repr(v) for v in x.tolist()]
+    # one string per bit pattern, shared by the elements that hold it
+    assert len(set(map(id, fields))) == len(set(x.view(np.uint64).tolist()))
 
 
 # ids full of CSV specials; each stays distinct and non-empty once stripped

@@ -12,8 +12,11 @@ from rankdyn.errors import (
     DuplicateTimeError,
     InsufficientDataError,
 )
+from rankdyn.kernels import EPANECHNIKOV
 from rankdyn.sample import (
+    _BATCH_ROWS,
     FunctionalSample,
+    _grid_smoother,
     default_presmooth_bandwidth,
     load_long_csv,
     load_wide_csv,
@@ -174,6 +177,49 @@ class TestLoadWideCsv:
             load_wide_csv(_csv("t,a\n0.5,1\n"))
         with pytest.raises(CsvFormatError, match="no data rows"):
             load_wide_csv(_csv("time,a\n\n"))
+
+
+def _long_records(count: int) -> list[str]:
+    """``count`` good long-format records: subjects of 50 points on the grid {j/50}."""
+    return [f"s{k // 50},{(k % 50 + 1) / 50!r},1.0" for k in range(count)]
+
+
+class TestErrorsAcrossBatches:
+    """Error order and record numbers when the records span several read batches."""
+
+    def test_unclosed_quote_beats_an_earlier_bad_value(self):
+        # a bad value on line 3; an open quote a batch later swallows the rest of the file
+        lines = ["id,time,value", "a,0.1,1.0", "a,0.5,oops", *_long_records(_BATCH_ROWS),
+                 '"b,0.5,1.0', *["c,0.5,1.0"] * 20000]
+        with pytest.raises(CsvFormatError, match=f"line {_BATCH_ROWS + 4}: field larger than field limit"):
+            load_long_csv(_csv("\n".join(lines) + "\n"))
+
+    def test_invalid_utf8_beats_an_earlier_bad_value(self):
+        lines = ["id,time,value", "a,0.1,1.0", "a,0.5,oops", *_long_records(_BATCH_ROWS)]
+        raw = ("\n".join(lines) + "\n").encode("utf-8") + b"b\xe9,0.5,1.0\n"
+        with pytest.raises(CsvFormatError, match="not valid UTF-8"):
+            load_long_csv(io.BytesIO(raw))
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["long", "wide"])
+    def test_first_bad_record_in_a_later_batch_counts_blank_records(self, wide):
+        count = _BATCH_ROWS + 500
+        if wide:
+            header, good = "time,a,b", [f"{(k + 1) / count!r},1.0,2.0" for k in range(count)]
+        else:
+            header, good = "id,time,value", _long_records(count)
+        lines = []
+        for k, record in enumerate(good):
+            if k % 1000 == 0:
+                lines.append("")
+            lines.append(record)
+        bad = len(lines) - 100
+        assert bad > _BATCH_ROWS and lines[bad]
+        lines[bad] = "0.5,1.0,oops"   # a bad value in either format
+        lines.append("0.5,1.0")        # a later record of the wrong width
+        load = load_wide_csv if wide else load_long_csv
+        # the header is line 1, lines[0] line 2
+        with pytest.raises(CsvFormatError, match=f"line {bad + 2}: cannot parse value 'oops'"):
+            load(_csv("\n".join([header, *lines]) + "\n"))
 
 
 class TestEncoding:
@@ -385,6 +431,39 @@ class TestPresmoothMatchesNaive:
         times = [_ragged_grid(rng, 27), shared, _ragged_grid(rng, 35), shared.copy(), shared.copy()]
         values = [rng.normal(size=t.size) for t in times]
         _assert_matches_naive(FunctionalSample(list("abcde"), times, values), h_d=0.15)
+
+
+class TestPresmoothBatches:
+    """One grid shared by more subjects than a batch of output values holds."""
+
+    def test_batches_match_one_unbatched_fit(self):
+        rng = np.random.default_rng(14)
+        g = np.linspace(0, 1, 31)
+        per_batch = _BATCH_ROWS // 41
+        n = 2 * per_batch + 17
+        y = rng.normal(size=(n, 1)) + np.sin(2 * np.pi * g) + 0.2 * rng.normal(size=(n, 31))
+        sm = presmooth(FunctionalSample.from_matrix(g, y), h_d=0.15, eval_grid_size=41)
+        design, solve = _grid_smoother(g, sm.eval_grid, 0.15, EPANECHNIKOV, "s0001")
+        values, derivatives = solve((design @ y.T).reshape(3, 41, n))
+        # the batches share one matmul and solve elementwise, so nothing rounds differently
+        np.testing.assert_array_equal(sm.values, values)
+        np.testing.assert_array_equal(sm.derivatives, derivatives)
+        # the subjects on both sides of each batch edge
+        for i in (0, per_batch - 1, per_batch, 2 * per_batch - 1, 2 * per_batch, n - 1):
+            v, d = naive_presmooth(g.tolist(), y[i].tolist(), 0.15, sm.eval_grid.tolist())
+            assert np.max(np.abs(sm.values[i] - v)) <= 1e-12
+            assert np.max(np.abs(sm.derivatives[i] - d)) <= 1e-10
+
+    def test_first_subject_on_a_failing_grid_is_named(self):
+        # the sparse grid's subjects fill more than one batch; "first" comes first
+        fine, sparse = np.linspace(0, 1, 41), np.array([0.2, 0.5, 0.8])
+        k = _BATCH_ROWS // 101 + 5
+        ids = ["ok", "first", *[f"s{i}" for i in range(k)]]
+        times = [fine, sparse, *[sparse] * k]
+        s = FunctionalSample(ids, times, [np.ones(t.size) for t in times])
+        with pytest.raises(InsufficientDataError, match=r"^subject 'first': only 0 observations "
+                           r"in the smoothing window at t=0 \(need >= 3\); increase h_d$"):
+            presmooth(s, h_d=0.15)
 
 
 def test_pooled_std():
