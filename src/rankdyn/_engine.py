@@ -1,4 +1,4 @@
-"""Internal kernel-sum engine shared by the cdf, rank and derivative estimators.
+"""Internal kernel-sum engine of the cdf, rank and derivative estimators and of CV.
 
 All estimators reduce to five weighted sums over the pooled observations
 (t_k, y_k) with per-point weights 1/m_i.  For query values y_q at a time t:
@@ -14,25 +14,29 @@ Q3 = S3/(n h_T^2), Q4 = S4/(n h_T^2), Q5 = S5/(n h_Y h_T).  Only
 observations with |t - t_k| < h_T have a nonzero time weight (compact
 support); they form the time's window.
 
-The sums are updated, not evaluated term by term.  Write a_k for a time
-weight (w_k K or w_k K') and u_k = (y_q - y_k)/h_Y.  H is 1 for u >= 1 and
-0 for u <= -1, and on [-1, 1] both H and K are polynomials (their
-coefficients live on ``Kernel``).  With the observations sorted by y,
+The sums are updated, not evaluated term by term (fast sum updating,
+Langrene & Warin 2019, JCGS), by one rule on both axes: ``qbar_grid`` along
+y and CV (``bandwidth``) along t.  On [-1, 1] H and K are polynomials
+(coefficients on ``Kernel``); write P for either.  The sorted points x_k
+are cut into cells of a width (``cells``), and x_k = c + width v_k with c
+its cell's centre, so v_k lies in [-1/2, 1/2).  With z = (x_q - c)/width,
+the binomial expansion P(z - v_k) = sum_{s,r} A[s, r] z^s v_k^r
+(``expansion``) turns the sum of a_k P((x_q - x_k)/reach) over the part of
+the open band |x_k - x_q| < reach in one cell into
+sum_{s,r} A[s, r] z^s M_r, where M_r = sum a_k v_k^r is a difference of two
+prefix moments (``prefix_moments``; z and v in units of reach).
+``band_rule`` cuts each band at its cell edges by ``searchsorted`` and
+weighs each cell's moments: O(log N) and a small polynomial per query
+instead of O(band).  The cells a band spans are counted from the data, so
+an edge that rounding puts on a cell edge costs a cell, not a wrong sum.
+The band may be open: a point on its edge has K = 0, or H = 1 and lies in
+the mass below it.  Who is in a band is decided in the caller's units: CV
+compares times as they are (tau > s - h_t), as its own-subject count does,
+and ``qbar_grid`` passes values it has already scaled, with width 1.
 
-    sum_k a_k H(u_k) = sum_{y_k < y_q - h_Y} a_k
-                       + sum_{|y_k - y_q| <= h_Y} a_k P_H(u_k),
-
-where the first term is a prefix sum.  For the second, the y axis is cut
-into cells of width h_Y and each y_k is written as c + h_Y v_k, with c the
-centre of its own cell, so v_k lies in [-1/2, 1/2).  With z = (y_q - c)/h_Y
-we get u_k = z - v_k and P_H(z - v_k) = sum_{s,r} A[s, r] z^s v_k^r, the
-binomial expansion of the kernel polynomial.  The in-band sum over one cell
-is then sum_{s,r} A[s, r] z^s M_r, with M_r = sum a_k v_k^r over the cell's
-in-band points: a difference of two prefix moments.  The band
-[y_q - h_Y, y_q + h_Y] touches at most three cells, so a query costs two
-``searchsorted`` lookups for the band, one per cell edge and a small
-polynomial: O(log window) instead of O(window).
-
+Along y, with a_k a time weight (w_k K or w_k K') and
+u_k = (y_q - y_k)/h_Y, H is 1 for u >= 1 and 0 for u <= -1, so sum_k a_k
+H(u_k) is the prefix sum of a_k over y_k <= y_q - h_Y plus a band sum.
 ``flatten`` sorts the pooled observations by value once, ties broken by
 time.  ``qbar_grid`` walks its times in ascending order (the outputs keep
 the caller's order) in consecutive blocks.  A block's window, every
@@ -45,10 +49,7 @@ pooled sample size N, so its prefix moments are never larger than those of
 one time whose window holds the whole sample.  Bandwidths h_Y within a
 factor 2 of each other share one set of moments, built on cells as wide as
 the smallest of them (moments in units of a wider h_Y are the same sums
-scaled by a power of the width ratio); their bands span at most five
-cells.  The number of cells a band spans is read off the data, so a band
-edge that rounding puts on a cell edge costs one more cell, not a wrong
-sum.
+scaled by a power of the width ratio); their bands span at most five cells.
 
 The moments are cell-local because centring matters here.  About a single
 centre they would carry powers of (y range / h_Y) up to the polynomial
@@ -56,6 +57,16 @@ degree (3 for Epanechnikov, 5 for biweight), and their differences would
 cancel catastrophically when one subject sits far from the rest.
 Cell-local moments are bounded by the window's total weight, so the error
 stays at rounding level whatever the spread of the data.
+
+Each caller reads the moments its own way.  ``qbar_grid`` takes each
+cell's moment difference, then weighs it: an empty band takes its first
+cell from the next point above, which can lie far away, and its huge
+weights cancel exactly only against zero differences.  Weighing the edge
+moments directly put it 1.8e-10 (Epanechnikov, an outlier 50 units out)
+to 0.57 (biweight, 500 out) from the direct sums.  A CV window holds its
+own time, so is never empty; CV weighs the edge moments directly, in one
+gathered matmul per h_t, as differencing first made ``select_bandwidths``
+1.5 to 2 times slower on ragged samples of 30 to 120 subjects.
 
 No temporary is a (queries x window) product, so queries need no chunking.
 """
@@ -98,7 +109,7 @@ def flatten_sample(sample) -> FlatData:
     return flatten(grids, list(sample.values), sample.n)
 
 
-def _expansion(coeffs) -> np.ndarray:
+def expansion(coeffs) -> np.ndarray:
     """A with P(z - v) = sum_{s,r} A[s, r] z^s v^r, for P(x) = sum_d coeffs[d] x^d."""
     a = np.zeros((len(coeffs), len(coeffs)))
     for d, c in enumerate(coeffs):
@@ -110,7 +121,7 @@ def _expansion(coeffs) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _expansions(kern: Kernel) -> np.ndarray:
     """Expansions of H and of K (zero-padded to H's degree), stacked; read-only."""
-    out = np.stack([_expansion(kern.cdf_coeffs), _expansion(kern.density_coeffs + (0.0,))])
+    out = np.stack([expansion(kern.cdf_coeffs), expansion(kern.density_coeffs + (0.0,))])
     out.flags.writeable = False
     return out
 
@@ -122,6 +133,49 @@ def _powers(x: np.ndarray, count: int) -> np.ndarray:
     for r in range(1, count):
         out[..., r] = out[..., r - 1] * x
     return out
+
+
+def cells(x: np.ndarray, width: float, deg: int):
+    """The cells floor(x / width) of ``x``, and each point's offset from its
+    cell's centre, in units of the width, to the powers 0 .. deg-1: (cell, vpow)."""
+    u = x / width
+    cell = np.floor(u)
+    return cell, _powers(u - cell - 0.5, deg)
+
+
+def prefix_moments(vpow: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """mom[i, ..., r, c] = sum_{j<i} a[j, ..., c] vpow[j, r] for ``a`` (points, ..., columns)."""
+    mom = np.empty((a.shape[0] + 1, *a.shape[1:-1], vpow.shape[1], a.shape[-1]))
+    mom[0] = 0.0
+    v = vpow.reshape(vpow.shape[:1] + (1,) * (a.ndim - 2) + (-1, 1))
+    np.multiply(v, a[..., None, :], out=mom[1:])
+    np.cumsum(mom[1:], axis=0, out=mom[1:])
+    return mom
+
+
+def band_rule(x, cell, xq, reach: float, width: float, expand: np.ndarray):
+    """Cell-edge cuts and per-cell weights of the open bands |x - xq| < reach.
+
+    ``x`` is sorted, ``cell`` its cells of ``width`` and ``expand`` a stack
+    of kernel expansions.  Returns (lo, edges, weights): the band of query q
+    is x[lo[q]:edges[q, -1]], cut at its cell edges by edges[q] (cells + 1
+    of them), and weights[q] is (kernels, cells, deg): the sum of
+    P_f((xq - x) / reach) over the band's part of its c-th cell is
+    weights[q, f, c] times that part's moments about the cell's centre.
+    """
+    lo = np.searchsorted(x, xq - reach, side="right")
+    hi = np.searchsorted(x, xq + reach, side="left")
+    first = cell[np.minimum(lo, x.size - 1)]
+    ncell = int((cell[hi - 1] - first).max(initial=0.0, where=hi > lo)) + 1
+    inner = np.searchsorted(cell, first[..., None] + np.arange(1, ncell), side="left")
+    edges = np.concatenate(
+        [lo[..., None], np.clip(inner, lo[..., None], hi[..., None]), hi[..., None]], axis=-1
+    )
+    # z and v in units of the band's half width: scale the r-th moment by (width / reach)^r
+    half, deg = reach / width, expand.shape[-1]
+    z = (xq[..., None] / width - (first[..., None] + np.arange(ncell) + 0.5)) / half
+    scale = _powers(np.float64(1.0 / half), deg)
+    return lo, edges, _powers(z, deg)[..., None, :, :] @ (expand * scale)
 
 
 def _blocks(t_sorted: np.ndarray, ts: np.ndarray, h_t: float):
@@ -138,49 +192,6 @@ def _blocks(t_sorted: np.ndarray, ts: np.ndarray, h_t: float):
         if stop == ts.size or (hi[stop] - lo[start]) * (stop + 1 - start) > t_sorted.size:
             yield start, stop
             start = stop
-
-
-def _cell_moments(u: np.ndarray, a: np.ndarray, deg: int):
-    """Cells floor(u) of sorted ``u`` and the prefix moments about cell centres.
-
-    ``a`` is (points, times, columns).  Returns (cell, mom) with
-    mom[i, b, r, c] = sum_{j<i} a[j, b, c] v_j^r, where
-    v_j = u_j - (cell_j + 1/2) lies in [-1/2, 1/2).
-    """
-    cell = np.floor(u)
-    mom = np.empty((u.size + 1, a.shape[1], deg, a.shape[2]))
-    mom[0] = 0.0
-    np.multiply(_powers(u - cell - 0.5, deg)[:, None, :, None], a[:, :, None, :], out=mom[1:])
-    np.cumsum(mom[1:], axis=0, out=mom[1:])
-    return cell, mom
-
-
-def _band_sums(u, cell, mom, uq, reach: float, expand: np.ndarray):
-    """In-band polynomial sums for queries ``uq`` over the band |u - uq| <= reach.
-
-    ``uq`` is (queries, times) and column b reads only the moments of time
-    b.  ``expand`` stacks the expansions of H and, optionally, K, whose
-    argument is (uq - u) / reach.  Returns (below, sums): below is the mass
-    under the band, where H = 1, as (queries, times, columns), and sums is
-    (queries, times, H|K, columns).
-    """
-    lo = np.searchsorted(u, uq - reach, side="left")
-    hi = np.searchsorted(u, uq + reach, side="right")
-    first = cell[np.minimum(lo, u.size - 1)]
-    ncell = int((cell[hi - 1] - first).max(initial=0.0, where=hi > lo)) + 1
-    # split each band [lo, hi) at its cell edges
-    inner = np.searchsorted(cell, first[..., None] + np.arange(1, ncell), side="left")
-    edges = np.concatenate(
-        [lo[..., None], np.clip(inner, lo[..., None], hi[..., None]), hi[..., None]], axis=-1
-    )
-    nf, deg = expand.shape[0], expand.shape[-1]
-    nq, nb = uq.shape
-    own = np.arange(nb)
-    band = np.diff(mom[edges, own[:, None]], axis=2).reshape(nq, nb, ncell * deg, -1)
-    # z and v in units of the band's half width: scale the r-th moment by reach^-r
-    zp = _powers((uq[..., None] - (first[..., None] + np.arange(ncell) + 0.5)) / reach, deg)
-    coef = zp[:, :, None] @ (expand * _powers(np.float64(1.0 / reach), deg))
-    return mom[lo, own, 0], coef.reshape(nq, nb, nf, ncell * deg) @ band
 
 
 def qbar_grid(flat: FlatData, kern: Kernel, pairs, ts, yq, partials: bool = True):
@@ -211,7 +222,7 @@ def qbar_grid(flat: FlatData, kern: Kernel, pairs, ts, yq, partials: bool = True
     order = np.argsort(ts, kind="stable")
     for start, stop in _blocks(np.sort(flat.t), ts[order], reach):
         cols = order[start:stop]
-        tb = ts[cols]
+        tb, own = ts[cols], np.arange(cols.size)
         near = np.flatnonzero((flat.t >= tb[0] - reach) & (flat.t <= tb[-1] + reach))
         if near.size == 0:
             continue
@@ -232,12 +243,16 @@ def qbar_grid(flat: FlatData, kern: Kernel, pairs, ts, yq, partials: bool = True
             shared = [hy for hy in hys if hy <= 2.0 * width]
             hys = hys[len(shared):]
             u = (ys - origin) / width
-            cell, mom = _cell_moments(u, a, deg)
+            cell, vpow = cells(u, 1.0, deg)
+            mom = prefix_moments(vpow, a)
             total = mom[-1, :, 0]
             uq = (yq[:, cols] - origin) / width
             for hy in shared:
-                below, sums = _band_sums(u, cell, mom, uq, hy / width, expand)
-                s_h = below + sums[:, :, 0]
+                lo, edges, weights = band_rule(u, cell, uq, hy / width, 1.0, expand)
+                # each cell's moment difference, then its weights (see the module notes)
+                band = np.diff(mom[edges, own[:, None]], axis=2).reshape(*uq.shape, -1, a.shape[-1])
+                sums = weights.reshape(*uq.shape, expand.shape[0], -1) @ band
+                s_h = mom[lo, own, 0] + sums[:, :, 0]
                 for idx in groups[hy]:
                     ht = pairs[idx][1]
                     c = col[float(ht)]

@@ -28,14 +28,9 @@ a row-major (time x member) table; the observations are the tables one
 after another, unpadded, and the scored ones (times inside (h_max,
 1 - h_max)) follow in the same order.
 
-S is a window sum along time.  G is summed over each distinct observation
-time tau (a shared grid of m points gives m rows).  On its support
-K((s - tau)/h_t) is a polynomial in tau, so with the time axis cut into
-cells of width h_t and tau written about its cell's centre, the sum over
-the window (s - h_t, s + h_t) is read off cell-local prefix moments at the
-window's cell edges: the engine's update along y (``_engine``), here along
-t (Langrene & Warin 2019, JCGS).  A window spans at most three cells, one
-more if rounding puts its edge on a cell edge.  S_i is direct: a grid's
+S is a window sum along time, over G summed per distinct observation
+time tau (a shared grid of m points gives m rows), in cells of width h_t
+by the engine's sum-updating rule (``_engine``).  S_i is direct: a grid's
 own windows hold few points, so one matmul per grid, its time weights
 against its block of G, gives every member's own sums.  W and W_i take
 the same two routes.  A leave-out window left empty is found by counting,
@@ -53,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError, InsufficientDataError
-from ._engine import _expansion, _powers
+from ._engine import band_rule, cells, expansion, prefix_moments
 from .kernels import EPANECHNIKOV, Kernel
 from .ranks import Bandwidths
 from .sample import FunctionalSample, pooled_std
@@ -126,41 +121,6 @@ class CvReport:
     chosen: Bandwidths
 
 
-def _window_rule(tau: np.ndarray, ts: np.ndarray, h_t: float, expand: np.ndarray):
-    """(vpow, edges, coef) reading kernel sums at ``ts`` off prefix moments along ``tau``.
-
-    ``tau`` holds the sorted distinct times, in cells of width h_t, and
-    ``vpow`` (T, deg) the powers of each one's offset from its cell's centre,
-    in units of h_t.  ``edges`` (S, E) cuts each window, tau[edges[:, 0]:edges[:, -1]],
-    at its cell edges, and ``coef`` (S, 1, E deg) weighs the moments there;
-    ``expand`` expands K.
-    """
-    u = tau / h_t
-    cell = np.floor(u)
-    lo = np.searchsorted(tau, ts - h_t, side="right")
-    hi = np.searchsorted(tau, ts + h_t, side="left")
-    first = cell[lo]
-    inner = np.searchsorted(cell, first[:, None] + np.arange(1, (cell[hi - 1] - first).max() + 1))
-    edges = np.column_stack([lo, np.clip(inner, lo[:, None], hi[:, None]), hi])
-    # K((ts - tau) / h_t) = P(z - v), with z and v the offsets of ts and tau
-    # from a cell's centre; a cell's sum is its two edges' moments apart
-    z = ts[:, None] / h_t - (first[:, None] + np.arange(edges.shape[1] - 1) + 0.5)
-    per_cell = _powers(z, expand.shape[0]) @ expand
-    coef = -np.diff(np.pad(per_cell, ((0, 0), (1, 1), (0, 0))), axis=1)
-    return _powers(u - cell - 0.5, expand.shape[0]), edges, coef.reshape(ts.size, 1, -1)
-
-
-def _window_sums(d: np.ndarray, vpow: np.ndarray, edges: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """sum_tau K((ts - tau) / h_t) d[tau] for per-time data ``d`` (T, columns); (S, columns)."""
-    # prefix moments about the cell centres: mom[i, r] = sum_{tau < i} d[tau] v_tau^r
-    mom = np.empty((d.shape[0] + 1, vpow.shape[1], d.shape[1]))
-    mom[0] = 0.0
-    np.multiply(vpow[:, :, None], d[:, None, :], out=mom[1:])
-    np.cumsum(mom[1:], axis=0, out=mom[1:])
-    # every edge of every window in one gather, weighed in one batched matmul
-    return (coef @ mom[edges].reshape(edges.shape[0], -1, d.shape[1]))[:, 0]
-
-
 def _cv_values(
     sample: FunctionalSample,
     pairs: list[Bandwidths],
@@ -195,9 +155,24 @@ def _cv_values(
     h_ts = sorted({bw.h_t for bw in pairs})
     col = {h_t: c for c, h_t in enumerate(h_ts)}
     lead = [next(p for p, bw in enumerate(pairs) if bw.h_t == h_t) for h_t in h_ts]
-    rules = [_window_rule(tau, interior, h_t, _expansion(kernel.density_coeffs)) for h_t in h_ts]
+    expand = expansion(kernel.density_coeffs)[None]
+    deg = expand.shape[-1]
+    rules = []
+    for h_t in h_ts:
+        cell, vpow = cells(tau, h_t, deg)
+        _, edges, weights = band_rule(tau, cell, interior, h_t, h_t, expand)
+        # a cell's sum is its two edges' moments apart: weigh each edge's moments directly
+        coef = -np.diff(np.pad(weights[:, 0], ((0, 0), (1, 1), (0, 0))), axis=1)
+        rules.append((vpow, edges, coef.reshape(interior.size, 1, -1)))
+
+    def window_sums(d, c):
+        """Per scored time s: sum_tau K((s - tau) / h_t) d[tau], h_t = h_ts[c], d (T, columns)."""
+        vpow, edges, coef = rules[c]
+        mom = prefix_moments(vpow, d)[edges]  # every edge of every window in one gather
+        return (coef @ mom.reshape(interior.size, -1, d.shape[1]))[:, 0]
+
     w_t, n_t = per_time(np.column_stack([wts, np.ones(vals.size)])).T  # mass and count per time
-    mass = np.column_stack([_window_sums(w_t[:, None], *r)[:, 0] for r in rules])
+    mass = np.column_stack([window_sums(w_t[:, None], c)[:, 0] for c in range(len(h_ts))])
     n_t = np.append(0.0, np.cumsum(n_t))
     count = np.column_stack([n_t[e[:, -1]] - n_t[e[:, 0]] for _, e, _ in rules])
     h_col = np.array(h_ts)
@@ -222,7 +197,6 @@ def _cv_values(
     for idx, bw in enumerate(pairs):
         groups.setdefault(bw.h_y, []).append(idx)
     most = max(len({pairs[i].h_t for i in idxs}) for idxs in groups.values())
-    deg = len(kernel.density_coeffs)
     # Columns per block: G, H's argument and their per-time sums, one h_t's
     # moments and edge reads, the window sums, the numerators and lam hold at
     # most as many values as one H of all the y-grid's columns.
@@ -257,7 +231,7 @@ def _cv_values(
             g = kernel.cdf(g, out=np.empty_like(g))
             g *= wts[:, None]
             dt = per_time(g)
-            full = np.stack([_window_sums(dt, *rules[c]) for c in use])  # (h_t, time, column)
+            full = np.stack([window_sums(dt, c) for c in use])  # (h_t, time, column)
             # own sums, one matmul per grid, turned into leave-out numerators
             num = np.empty((len(use), jumps.size, b))
             for v, j, a, s, e, o in zip(tables, scored, own_a, bounds, bounds[1:], offsets):

@@ -230,8 +230,8 @@ def _parse_grid(spec: str, sample) -> BandwidthGrid:
     spec = spec.strip()
     if spec == "default" or ("x" in spec and ":" not in spec):
         a, _, b = spec.partition("x")
-        if spec != "default" and (a != b or not a.isdigit()):
-            raise UsageError(f"--cv-grid {spec!r}: only square grids 'KxK' are supported")
+        if spec != "default" and (a != b or not a.isdecimal() or int(a) == 0):
+            raise UsageError(f"--cv-grid {spec!r}: only square grids 'KxK', K >= 1, are supported")
         steps = 4 if spec == "default" else int(a)
         if sample is None:
             return BandwidthGrid.geometric(steps=steps)

@@ -63,7 +63,8 @@ def _validate_grid(t: np.ndarray, subject: str) -> None:
     m = t.size
     if m == 0:
         raise DataError(f"subject {subject!r} has no observations")
-    if np.any(t < -_GRID_TOL) or np.any(t > 1.0 + _GRID_TOL):
+    # written so that NaN, which fails every comparison, fails it too
+    if not np.all((t >= -_GRID_TOL) & (t <= 1.0 + _GRID_TOL)):
         raise DomainError(f"subject {subject!r} has observation times outside [0, 1]")
     d = np.diff(t)
     if np.any(d == 0.0):

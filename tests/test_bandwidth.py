@@ -180,6 +180,17 @@ class TestCvObjective:
         with pytest.raises(InsufficientDataError, match=r"t=0\.5 after leaving out subject 'a'"):
             cv_objective(s, Bandwidths(0.5, 0.2), h_max=0.25)
 
+    def test_window_edge_is_compared_in_time_units(self):
+        # b's 0.6 is exactly h_t from a's 0.5 and so outside the open window,
+        # though 0.6 / 0.1 = 5.999999999999999 would put it inside in units of h_t
+        s = FunctionalSample(
+            ["a", "b"],
+            [np.array([0.1, 0.5, 0.9]), np.array([0.1, 0.6, 0.9])],
+            [np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 2.0])],
+        )
+        with pytest.raises(InsufficientDataError, match=r"t=0\.5 after leaving out subject 'a'"):
+            cv_objective(s, Bandwidths(0.5, 0.1), h_max=0.1)
+
     def test_earliest_failing_time_is_named_before_pair_order(self):
         # One h_y, larger h_t first.  Leaving out a, h_t = 0.1 has no data at
         # t = 0.35 (b's 0.2 is 0.15 away), and h_t = 0.2 has none at t = 0.55

@@ -445,6 +445,15 @@ class TestExitCodes:
                      "--out", str(tmp_path)]) == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, spec", [
+        ("cv", "0x0"), ("cv", "00x00"), ("simulate", "0x0"), ("simulate", "\u00b2x\u00b2"),
+    ])
+    def test_malformed_square_cv_grid_is_usage_error(self, command, spec, data_csv, tmp_path, capsys):
+        args = [command, "--cv-grid", spec, "--out", str(tmp_path / "o")]
+        args += ["--input", str(data_csv)] if command == "cv" else ["--n", "8", "--runs", "1"]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(f"usage error: --cv-grid {spec!r}")
+
     def test_half_pair_is_usage_error(self, data_csv, tmp_path):
         assert main(["decompose", "--input", str(data_csv), "--h-y", "1.0",
                      "--out", str(tmp_path)]) == 2

@@ -276,6 +276,12 @@ class TestGridValidation:
         with pytest.raises(DataError):
             FunctionalSample(["a"], [np.array([0.5, 0.1, 0.9])], [np.zeros(3)])
 
+    def test_nan_time_rejected_naming_the_subject(self):
+        # NaN fails every comparison, so "t < 0 or t > 1" would let it through
+        t = np.array([0.0, 0.25, np.nan, 0.75, 1.0])
+        with pytest.raises(DomainError, match="subject 'a' has observation times outside"):
+            FunctionalSample(["a", "b", "c"], [t, t.copy(), t.copy()], [np.zeros(5)] * 3)
+
     def test_nonfinite_value_rejected(self):
         with pytest.raises(DataError, match="non-finite"):
             FunctionalSample(["a"], [np.array([0.25, 0.75])], [np.array([1.0, np.inf])])
