@@ -46,10 +46,19 @@ column per block time, distinct h_T and K or K'; a query reads only its own
 time's columns, where observations outside that time's window weigh zero.
 A block grows while (window size) x (number of times) stays within the
 pooled sample size N, so its prefix moments are never larger than those of
-one time whose window holds the whole sample.  Bandwidths h_Y within a
-factor 2 of each other share one set of moments, built on cells as wide as
-the smallest of them (moments in units of a wider h_Y are the same sums
-scaled by a power of the width ratio); their bands span at most five cells.
+one time whose window holds the whole sample.
+
+One rule (``cell_sets``) decides which bandwidths share a set of cells, on
+both axes: the h_Y of ``qbar_grid`` and the h_T of CV.  A set takes the
+narrowest bandwidth left and every other within a factor SHARE = 5 of it,
+and all of them read one set of prefix moments on cells as wide as that
+narrowest one (moments in units of a wider reach are the same sums scaled
+by a power of the width ratio).  A band of reach h on cells of width w
+spans at most ceil(2 h / w) + 1 cells, so at most 11 cells and 12 edges.
+The factor is the smallest round one that puts the default CV grid's four
+values on each axis (ratio 1 / 0.6^3 = 4.63) in one set; it is bounded so
+that a wide grid (``--cv-grid 8x8``, ratio 36) splits into sets instead of
+reading dozens of cells per band.
 
 The moments are cell-local because centring matters here.  About a single
 centre they would carry powers of (y range / h_Y) up to the polynomial
@@ -64,9 +73,11 @@ cell from the next point above, which can lie far away, and its huge
 weights cancel exactly only against zero differences.  Weighing the edge
 moments directly put it 1.8e-10 (Epanechnikov, an outlier 50 units out)
 to 0.57 (biweight, 500 out) from the direct sums.  A CV window holds its
-own time, so is never empty; CV weighs the edge moments directly, in one
-gathered matmul per h_t, as differencing first made ``select_bandwidths``
-1.5 to 2 times slower on ragged samples of 30 to 120 subjects.
+own time, so is never empty; CV weighs the edge moments directly, as
+differencing first made ``select_bandwidths`` 1.5 to 2 times slower on
+ragged samples of 30 to 120 subjects.  It builds one set of prefix moments
+per column block for every h_T of a set, and reads each h_T's window edges
+from it in one gathered matmul.
 
 No temporary is a (queries x window) product, so queries need no chunking.
 """
@@ -178,6 +189,29 @@ def band_rule(x, cell, xq, reach: float, width: float, expand: np.ndarray):
     return lo, edges, _powers(z, deg)[..., None, :, :] @ (expand * scale)
 
 
+# Bandwidths within this factor of the narrowest in their set share its
+# cells.  5 is the smallest round factor that puts the default grid's four
+# values (ratio 1 / 0.6^3 = 4.63) in one set on either axis.  Larger ones
+# saved nothing on an 8 x 8 grid (ratio 36): with 8 and 12, CV took the same
+# time, and decompose_many took 3-9% longer on a 300-subject shared sample
+# and 6% longer to 5% shorter on a 30-subject ragged one.
+SHARE = 5.0
+
+
+def cell_sets(hs):
+    """The distinct bandwidths ``hs`` in sets that share one set of cells.
+
+    Yields (width, [h, ...]) per set, in ascending order: each set takes the
+    narrowest bandwidth left as its cell width and every other within SHARE
+    times it.
+    """
+    hs = sorted({float(h) for h in hs})
+    while hs:
+        shared = [h for h in hs if h <= SHARE * hs[0]]
+        yield hs[0], shared
+        hs = hs[len(shared):]
+
+
 def _blocks(t_sorted: np.ndarray, ts: np.ndarray, h_t: float):
     """Consecutive blocks [start, stop) of the ascending times ``ts``.
 
@@ -235,13 +269,7 @@ def qbar_grid(flat: FlatData, kern: Kernel, pairs, ts, yq, partials: bool = True
             a = np.concatenate([a, kern.density_deriv(arg) * ww], axis=-1)
         # count cells from the middle value: keeps |u|, and so its rounding, small for the bulk
         origin = ys[ys.size // 2]
-        hys = sorted(groups)
-        while hys:
-            # every h_y within a factor 2 of the smallest left shares cells of that
-            # width, so a band spans at most 5 cells
-            width = hys[0]
-            shared = [hy for hy in hys if hy <= 2.0 * width]
-            hys = hys[len(shared):]
+        for width, shared in cell_sets(groups):
             u = (ys - origin) / width
             cell, vpow = cells(u, 1.0, deg)
             mom = prefix_moments(vpow, a)

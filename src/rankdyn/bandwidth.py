@@ -29,16 +29,22 @@ after another, unpadded, and the scored ones (times inside (h_max,
 1 - h_max)) follow in the same order.
 
 S is a window sum along time, over G summed per distinct observation
-time tau (a shared grid of m points gives m rows), in cells of width h_t
-by the engine's sum-updating rule (``_engine``).  S_i is direct: a grid's
-own windows hold few points, so one matmul per grid, its time weights
-against its block of G, gives every member's own sums.  W and W_i take
-the same two routes.  A leave-out window left empty is found by counting,
-so rounding in the prefix moments cannot hide it.
+time tau (a shared grid of m points gives m rows), by the engine's
+sum-updating rule (``_engine``).  The h_t share cells by the engine's
+``cell_sets``: each column block builds one set of prefix moments per set
+of h_t, on cells as wide as its narrowest, and every h_t of the set reads
+its window edges from it.  S_i is direct: a grid's own windows hold few
+points, so one matmul per grid, its time weights against its block of G,
+gives every member's own sums.  W and W_i take the same two routes.  A
+leave-out window left empty is found by counting, so rounding in the
+prefix moments cannot hide it.
 
 Given the masses, the score adds up over y-grid columns, so the columns
-are taken in blocks whose buffers stay within one (N, 201) H, N the number
-of observations.
+are taken in blocks.  A block's buffers, counted with the four edge reads
+a window makes on cells of its own h_t, stay within one (N, 201) H, N the
+number of observations.  On a set's narrowest cells the widest h_t reads
+up to 12 edges, so on a ragged sample, where nearly every observation time
+is scored, its gather takes a block to about 1.5 H.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError, InsufficientDataError
-from ._engine import band_rule, cells, expansion, prefix_moments
+from ._engine import band_rule, cell_sets, cells, expansion, prefix_moments
 from .kernels import EPANECHNIKOV, Kernel
 from .ranks import Bandwidths
 from .sample import FunctionalSample, pooled_std
@@ -147,32 +153,51 @@ def _cv_values(
     by_time = np.argsort(row_t, kind="stable")
     tau, tau_start = np.unique(row_t[by_time], return_index=True)
 
+    one_row = bool(np.all(width == 1))  # every table row holds one observation
+    distinct = tau.size == row_t.size  # every observation time is distinct
+
     def per_time(x):
-        """Sums of the rows of ``x`` over each table row, then over each distinct time."""
-        rows = np.add.reduceat(x, np.cumsum(width) - width, axis=0)
-        return np.add.reduceat(rows[by_time], tau_start, axis=0)
+        """Sums of the rows of ``x`` over each table row, then over each distinct time.
+
+        A sum the data make the identity (one observation per row, or one row
+        per time) is skipped.
+        """
+        rows = x if one_row else np.add.reduceat(x, np.cumsum(width) - width, axis=0)
+        rows = rows[by_time]
+        return rows if distinct else np.add.reduceat(rows, tau_start, axis=0)
 
     h_ts = sorted({bw.h_t for bw in pairs})
     col = {h_t: c for c, h_t in enumerate(h_ts)}
     lead = [next(p for p, bw in enumerate(pairs) if bw.h_t == h_t) for h_t in h_ts]
     expand = expansion(kernel.density_coeffs)[None]
     deg = expand.shape[-1]
-    rules = []
-    for h_t in h_ts:
-        cell, vpow = cells(tau, h_t, deg)
-        _, edges, weights = band_rule(tau, cell, interior, h_t, h_t, expand)
-        # a cell's sum is its two edges' moments apart: weigh each edge's moments directly
-        coef = -np.diff(np.pad(weights[:, 0], ((0, 0), (1, 1), (0, 0))), axis=1)
-        rules.append((vpow, edges, coef.reshape(interior.size, 1, -1)))
+    # per cell set its points' offsets; per h_t its set, window edges and edge coefficients
+    vpows, rules = [], []
+    for cell_width, shared in cell_sets(h_ts):
+        cell, vpow = cells(tau, cell_width, deg)
+        for h_t in shared:
+            _, edges, weights = band_rule(tau, cell, interior, h_t, cell_width, expand)
+            # a cell's sum is its two edges' moments apart: weigh each edge's moments directly
+            coef = -np.diff(np.pad(weights[:, 0], ((0, 0), (1, 1), (0, 0))), axis=1)
+            rules.append((len(vpows), edges, coef.reshape(interior.size, 1, -1)))
+        vpows.append(vpow)
 
-    def window_sums(d, c):
-        """Per scored time s: sum_tau K((s - tau) / h_t) d[tau], h_t = h_ts[c], d (T, columns)."""
-        vpow, edges, coef = rules[c]
-        mom = prefix_moments(vpow, d)[edges]  # every edge of every window in one gather
-        return (coef @ mom.reshape(interior.size, -1, d.shape[1]))[:, 0]
+    def window_sums(d, use):
+        """out[q, s] = sum_tau K((s - tau) / h_t) d[tau] for h_t = h_ts[use[q]], d (T, columns).
+
+        The moments of one cell set at a time; each h_t reads its edges in one gather.
+        """
+        out = np.empty((len(use), interior.size, d.shape[1]))
+        for k in sorted({rules[c][0] for c in use}):
+            mom = prefix_moments(vpows[k], d)
+            for q, c in enumerate(use):
+                if rules[c][0] == k:
+                    edges, coef = rules[c][1:]
+                    out[q] = (coef @ mom[edges].reshape(interior.size, -1, d.shape[1]))[:, 0]
+        return out
 
     w_t, n_t = per_time(np.column_stack([wts, np.ones(vals.size)])).T  # mass and count per time
-    mass = np.column_stack([window_sums(w_t[:, None], c)[:, 0] for c in range(len(h_ts))])
+    mass = window_sums(w_t[:, None], range(len(h_ts)))[:, :, 0].T
     n_t = np.append(0.0, np.cumsum(n_t))
     count = np.column_stack([n_t[e[:, -1]] - n_t[e[:, 0]] for _, e, _ in rules])
     h_col = np.array(h_ts)
@@ -197,10 +222,16 @@ def _cv_values(
     for idx, bw in enumerate(pairs):
         groups.setdefault(bw.h_y, []).append(idx)
     most = max(len({pairs[i].h_t for i in idxs}) for idxs in groups.values())
-    # Columns per block: G, H's argument and their per-time sums, one h_t's
-    # moments and edge reads, the window sums, the numerators and lam hold at
-    # most as many values as one H of all the y-grid's columns.
-    reads = max(e.shape[1] for _, e, _ in rules) * deg
+    # Columns per block: G, H's argument and their per-time sums, one cell
+    # set's moments, four edge reads per scored time, the window sums, the
+    # numerators and lam hold at most as many values as one H of all the
+    # y-grid's columns.  Four edges are all a window spans on cells of its own
+    # h_t; the widest h_t of a set reads up to 12, and its gather lives only
+    # until its matmul.  Counting those would narrow a ragged sample's blocks
+    # and give back about a third of the saving: on a 30-subject one (default
+    # grid, 1 BLAS thread) CV took 85 ms with this count, 101 ms counting all
+    # 12, and 132 ms with cells of each h_t's own width.
+    reads = 4 * deg
     per_col = 2 * (vals.size + row_t.size) + (deg + 1) * (tau.size + 1)
     per_col += (most + reads + 1) * interior.size + (most + 2) * jumps.size
     step = max(1, vals.size * gy // per_col)
@@ -222,7 +253,7 @@ def _cv_values(
         d = ygrid[cell] - jumps
         split = ((cell - 1, d * (1.0 - frac)), (cell, dy[cell] + d * (1.0 + frac)))
         use = sorted({col[pairs[i].h_t] for i in idxs})
-        own_a = [a[use] for a in own_w]
+        own_a = own_w if len(use) == len(h_ts) else [a[use] for a in own_w]  # no copy on a full grid
         inv_u = inv[:, use].T
         score = np.zeros(len(use))
         for c0 in range(0, gy, step):
@@ -230,8 +261,7 @@ def _cv_values(
             g = (ygrid[c0 : c0 + b] - vals[:, None]) / h_y
             g = kernel.cdf(g, out=np.empty_like(g))
             g *= wts[:, None]
-            dt = per_time(g)
-            full = np.stack([window_sums(dt, c) for c in use])  # (h_t, time, column)
+            full = window_sums(per_time(g), use)  # (h_t, time, column)
             # own sums, one matmul per grid, turned into leave-out numerators
             num = np.empty((len(use), jumps.size, b))
             for v, j, a, s, e, o in zip(tables, scored, own_a, bounds, bounds[1:], offsets):

@@ -449,6 +449,30 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # the flags every command takes, declared once and shared by each subparser
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--input", help="input CSV (long format id,time,value)")
+    common.add_argument("--wide", action="store_true", default=None,
+                        help="input is wide format: time,id1,id2,...")
+    common.add_argument("--out", help="output directory (default: current)")
+    common.add_argument("--kernel", help="smoothing kernel: epanechnikov (default) or biweight")
+    common.add_argument("--h-y", dest="h_y", type=float, help="value-direction bandwidth")
+    common.add_argument("--h-t", dest="h_t", type=float, help="time-direction bandwidth")
+    common.add_argument("--h-d", dest="h_d", type=float, help="presmoothing bandwidth")
+    common.add_argument("--cv-grid", dest="cv_grid",
+                        help="bandwidth grid: 'default', 'KxK', or 'hY:hT,hY:hT,...'")
+    common.add_argument("--eval-points", dest="eval_points", type=int,
+                        help="size of the uniform evaluation grid (default 101)")
+    common.add_argument("--trim", help="boundary trim: 'auto' (= h_t) or a number")
+    common.add_argument("--method", help="rank method(s) for the ranks command: "
+                        "both (default), empirical or smooth")
+    common.add_argument("--seed", type=int, help="base seed (simulate)")
+    common.add_argument("--runs", type=int, help="Monte Carlo runs (simulate)")
+    common.add_argument("--n", help="comma list of sample sizes (simulate)")
+    common.add_argument("--m", type=int, help="observation grid parameter (simulate)")
+    common.add_argument("--svg", action="store_true", default=None, help="emit SVG figures")
+    common.add_argument("--threads", type=int, help="worker cap for parallel sections")
+    common.add_argument("--config", help="JSON config file (flags override it)")
     parser = argparse.ArgumentParser(
         prog="rankdyn",
         description="Rank trajectories and rank-derivative decomposition for functional data.",
@@ -462,29 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "simulate": "Monte Carlo benchmark against the closed-form model",
     }
     for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", help="input CSV (long format id,time,value)")
-        p.add_argument("--wide", action="store_true", default=None,
-                       help="input is wide format: time,id1,id2,...")
-        p.add_argument("--out", help="output directory (default: current)")
-        p.add_argument("--kernel", help="smoothing kernel: epanechnikov (default) or biweight")
-        p.add_argument("--h-y", dest="h_y", type=float, help="value-direction bandwidth")
-        p.add_argument("--h-t", dest="h_t", type=float, help="time-direction bandwidth")
-        p.add_argument("--h-d", dest="h_d", type=float, help="presmoothing bandwidth")
-        p.add_argument("--cv-grid", dest="cv_grid",
-                       help="bandwidth grid: 'default', 'KxK', or 'hY:hT,hY:hT,...'")
-        p.add_argument("--eval-points", dest="eval_points", type=int,
-                       help="size of the uniform evaluation grid (default 101)")
-        p.add_argument("--trim", help="boundary trim: 'auto' (= h_t) or a number")
-        p.add_argument("--method", help="rank method(s) for the ranks command: "
-                       "both (default), empirical or smooth")
-        p.add_argument("--seed", type=int, help="base seed (simulate)")
-        p.add_argument("--runs", type=int, help="Monte Carlo runs (simulate)")
-        p.add_argument("--n", help="comma list of sample sizes (simulate)")
-        p.add_argument("--m", type=int, help="observation grid parameter (simulate)")
-        p.add_argument("--svg", action="store_true", default=None, help="emit SVG figures")
-        p.add_argument("--threads", type=int, help="worker cap for parallel sections")
-        p.add_argument("--config", help="JSON config file (flags override it)")
+        sub.add_parser(name, help=help_text, parents=[common])
     return parser
 
 

@@ -124,21 +124,35 @@ class TestCvObjective:
         assert ours == pytest.approx(ref, rel=1e-3)
 
     def test_mixed_grids_match_bruteforce(self):
-        # a and b share a grid (scored together at 0.4 and 0.55), c does not
+        # Per-time sums add each grid's members, then each distinct time.  The
+        # cases make the second sum, the first and neither the identity, by c's
+        # times and the number of members per grid:
+        cases = [
+            # a and b share a grid (scored together at 0.4 and 0.55); c's times
+            # all differ from theirs
+            ([0.05, 0.3, 0.45, 0.6, 0.75, 0.95], [2, 1]),
+            # one subject per grid, and c shares 0.25, 0.4 and 0.7 with a
+            ([0.05, 0.25, 0.4, 0.6, 0.7, 0.95], [1, 1, 1]),
+            # neither: c shares 0.25, 0.4 and 0.7 with a and b's grid
+            ([0.05, 0.25, 0.4, 0.6, 0.7, 0.95], [2, 1]),
+        ]
         shared = np.array([0.1, 0.25, 0.4, 0.55, 0.7, 0.9])
-        times = [shared, shared.copy(), np.array([0.05, 0.3, 0.45, 0.6, 0.75, 0.95])]
         values = [
             np.array([0.0, 0.4, 0.9, 1.3, 1.6, 2.0]),
             np.array([2.2, 1.8, 1.1, 0.7, 0.6, 0.1]),
             np.array([1.0, 1.2, 0.8, 1.1, 0.9, 1.0]),
         ]
-        s = FunctionalSample(["a", "b", "c"], times, values)
-        assert s.shared_grid is None
-        ours = cv_objective(s, Bandwidths(0.9, 0.3), h_max=0.3)
-        ref = naive_cv_objective(
-            [list(t) for t in times], [list(v) for v in values], 0.9, 0.3, 0.3
-        )
-        assert ours == pytest.approx(ref, rel=1e-3)
+        for c_times, members in cases:
+            b_times = shared if members[0] == 2 else np.array([0.15, 0.3, 0.45, 0.55, 0.8, 0.9])
+            times = [shared.copy(), b_times.copy(), np.array(c_times)]
+            s = FunctionalSample(["a", "b", "c"], times, values)
+            assert s.shared_grid is None
+            assert sorted(map(len, s.grid_groups), reverse=True) == members
+            ours = cv_objective(s, Bandwidths(0.9, 0.3), h_max=0.3)
+            ref = naive_cv_objective(
+                [list(t) for t in times], [list(v) for v in values], 0.9, 0.3, 0.3
+            )
+            assert ours == pytest.approx(ref, rel=1e-3)
 
     def test_heavily_padded_ragged_grids_match_bruteforce(self):
         # c has three times the others' observations, so a and b are mostly
@@ -229,13 +243,16 @@ class TestGridRuleOracle:
     several times each.  The quadrature is the same on both sides, so the
     values agree to rounding, and a slip in a split-cell weight of the
     quadratic form shows.  The long shared grid has a small h_t, so the
-    window sums along time read prefix moments over 17 time cells.
+    window sums along time read prefix moments over 17 time cells.  The wide
+    grid's h_t span a factor 15: 0.15 reads the cells of 0.03, so its
+    windows span up to 11 of them, and 0.45 gets cells of its own.
     """
 
     GRID = BandwidthGrid(
         [Bandwidths(h_y, h_t) for h_y in (1.4, 0.8) for h_t in (0.3, 0.2)]
     )
     LONG_GRID = BandwidthGrid([Bandwidths(0.8, 0.06)])
+    WIDE_GRID = BandwidthGrid([Bandwidths(0.8, h_t) for h_t in (0.45, 0.15, 0.03)])
 
     @staticmethod
     def shared():
@@ -257,11 +274,20 @@ class TestGridRuleOracle:
         grid = np.linspace(0.0, 1.0, 61)
         return FunctionalSample.from_matrix(grid, rng.normal(size=(3, 1)) + np.sin(5 * grid) * rng.normal(size=(3, 1)))
 
+    @staticmethod
+    def dense_ragged():
+        # every scored time has another subject's observation within 0.03
+        return ragged_sample(4, seed=7, m_lo=20, m_hi=24)
+
     @pytest.mark.parametrize("kernel", [EPANECHNIKOV, BIWEIGHT], ids=lambda k: k.name)
-    @pytest.mark.parametrize("case", ["shared", "ragged", "ragged_shift_500", "long_shared"])
+    @pytest.mark.parametrize(
+        "case", ["shared", "ragged", "ragged_shift_500", "long_shared", "wide_shared", "wide_ragged"]
+    )
     def test_matches_direct_sums(self, case, kernel):
-        grid = self.LONG_GRID if case == "long_shared" else self.GRID
-        sample = {"shared": self.shared, "long_shared": self.long_shared}.get(case, self.ragged)()
+        grid = {"long_shared": self.LONG_GRID, "wide_shared": self.WIDE_GRID,
+                "wide_ragged": self.WIDE_GRID}.get(case, self.GRID)
+        sample = {"shared": self.shared, "long_shared": self.long_shared, "wide_shared": self.long_shared,
+                  "wide_ragged": self.dense_ragged}.get(case, self.ragged)()
         if case == "ragged_shift_500":
             sample = _shift_first(sample, 500.0)
         report = select_bandwidths(sample, grid, kernel)

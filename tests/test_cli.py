@@ -518,3 +518,19 @@ def test_importing_the_cli_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_every_command_keeps_its_flags_and_help(monkeypatch, capsys):
+    # cli_help.json holds each command's option strings and --help text at
+    # 80 columns, recorded when every subparser declared its own flags; the
+    # flags they share must parse and print exactly as before
+    expected = json.loads(Path(__file__).with_name("cli_help.json").read_text(encoding="utf-8"))
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    assert list(commands) == [name for name in expected if name != "rankdyn"]
+    for name, want in expected.items():
+        p = parser if name == "rankdyn" else commands[name]
+        assert [s for a in p._actions for s in a.option_strings] == want["options"]
+        assert main(([] if name == "rankdyn" else [name]) + ["--help"]) == 0
+        assert capsys.readouterr().out == want["help"]

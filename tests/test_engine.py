@@ -77,11 +77,24 @@ def _oracle_gap(times, values, kern, pairs, ts, yq):
 @pytest.mark.parametrize("shift", [0.0, 50.0, 500.0])
 def test_engine_matches_oracle_with_outlier(kern, shift):
     times, values = _ragged(shift)
-    # 0.4 and 0.7 share cells of width 0.4; 1.1 gets its own
+    # 0.4, 0.7 and 1.1 share cells of width 0.4
     pairs = [(0.4, 0.2), (0.7, 0.35), (1.1, 0.2), (1.1, 0.35)]
     allv = np.concatenate(values)
     # every observed value, points at the band edges, and queries near the outlier
     yq = np.concatenate([allv, allv[:10] + 0.4, allv[:10] - 1.1, [shift - 0.5, shift + 0.3]])
+    assert _oracle_gap(times, values, kern, pairs, [0.72, 0.3, 0.5], yq) < 1e-10
+
+
+@pytest.mark.parametrize("kern", [EPANECHNIKOV, BIWEIGHT], ids=lambda k: k.name)
+@pytest.mark.parametrize("shift", [0.0, 50.0, 500.0])
+def test_engine_matches_oracle_when_h_y_span_a_factor_12(kern, shift):
+    # 0.1, 0.3 and 0.5 share cells of width 0.1, so 0.5's bands span up to
+    # 11 cells; 1.2 gets cells of its own
+    assert [hys for _, hys in _engine.cell_sets([0.1, 0.3, 0.5, 1.2])] == [[0.1, 0.3, 0.5], [1.2]]
+    times, values = _ragged(shift)
+    pairs = [(0.1, 0.2), (0.3, 0.35), (0.5, 0.2), (0.5, 0.35), (1.2, 0.35)]
+    allv = np.concatenate(values)
+    yq = np.concatenate([allv, allv[:10] + 0.5, allv[:10] - 0.1, [shift - 0.5, shift + 0.3]])
     assert _oracle_gap(times, values, kern, pairs, [0.72, 0.3, 0.5], yq) < 1e-10
 
 
