@@ -44,9 +44,18 @@ observation within the widest h_T of its [first, last] time, is picked out
 of the value-sorted data and so stays sorted.  Its prefix moments have one
 column per block time, distinct h_T and K or K'; a query reads only its own
 time's columns, where observations outside that time's window weigh zero.
-A block grows while (window size) x (number of times) stays within the
-pooled sample size N, so its prefix moments are never larger than those of
-one time whose window holds the whole sample.
+A block grows while its prefix moments, (window size + 1) x times x
+columns x powers, stay within a fixed working set, BLOCK_MOMENTS = 2^16
+floats (512 KB); a time whose window alone holds more is a block of its
+own.  On the verification model (m = 31, 16 pairs, 41 trimmed times) that
+merges n = 20's times into 9 blocks and n = 50's into 21, where a bound of N
+on window x times gave one time per block, and leaves n = 200, where one
+time's moments already fill the bound, as it was.  ``decompose_many`` took
+32 -> 16 ms at n = 20 and 48 -> 38 ms at n = 50 (best CPU time, 1 BLAS
+thread).  2^17 saved 3 ms more at n = 50 but slowed a 300-subject
+``decompose`` by 10%; 2^15 saved nothing at n = 50.  The blocks run on one
+thread: on two (2 CPUs) they made n <= 50 1.7 times slower and n = 200
+no faster.
 
 One rule (``cell_sets``) decides which bandwidths share a set of cells, on
 both axes: the h_Y of ``qbar_grid`` and the h_T of CV.  A set takes the
@@ -212,18 +221,26 @@ def cell_sets(hs):
         hs = hs[len(shared):]
 
 
-def _blocks(t_sorted: np.ndarray, ts: np.ndarray, h_t: float):
+# A block's prefix moments, zero row included, hold at most this many floats
+# (512 KB), unless one time's alone hold more.  See the module notes.
+BLOCK_MOMENTS = 2**16
+
+
+def _blocks(t_sorted: np.ndarray, ts: np.ndarray, h_t: float, per_time: int = 1):
     """Consecutive blocks [start, stop) of the ascending times ``ts``.
 
-    A block grows while its window size, the observations with time in
-    [ts[start] - h_t, ts[stop - 1] + h_t], times its number of times stays
-    within the pooled sample size.
+    A block grows while its window, the observations with time in
+    [ts[start] - h_t, ts[stop - 1] + h_t], plus one, times its number of
+    times and ``per_time`` (moments per observation and time) stays within
+    BLOCK_MOMENTS; a time whose own window exceeds it is a block alone.
     """
     lo = np.searchsorted(t_sorted, ts - h_t, side="left")
     hi = np.searchsorted(t_sorted, ts + h_t, side="right")
     start = 0
     for stop in range(1, ts.size + 1):
-        if stop == ts.size or (hi[stop] - lo[start]) * (stop + 1 - start) > t_sorted.size:
+        if stop == ts.size or (
+            (hi[stop] - lo[start] + 1) * (stop + 1 - start) * per_time > BLOCK_MOMENTS
+        ):
             yield start, stop
             start = stop
 
@@ -254,7 +271,8 @@ def qbar_grid(flat: FlatData, kern: Kernel, pairs, ts, yq, partials: bool = True
     shapes = (yq.shape, ts.size, yq.shape, ts.size, yq.shape)[: 5 if partials else 2]
     out = [tuple(np.zeros(shape) for shape in shapes) for _ in pairs]
     order = np.argsort(ts, kind="stable")
-    for start, stop in _blocks(np.sort(flat.t), ts[order], reach):
+    per_time = expand.shape[0] * nt * deg  # K (and K') columns of each h_t, times their powers
+    for start, stop in _blocks(np.sort(flat.t), ts[order], reach, per_time):
         cols = order[start:stop]
         tb, own = ts[cols], np.arange(cols.size)
         near = np.flatnonzero((flat.t >= tb[0] - reach) & (flat.t <= tb[-1] + reach))

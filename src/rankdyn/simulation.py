@@ -174,16 +174,25 @@ def mise(
     estimates: DecompositionResult, model: SimModel, xi: np.ndarray, h_max: float
 ) -> tuple[float, float]:
     """Mean integrated squared errors of (C1, C2) over [h_max, 1 - h_max]."""
-    grid = estimates.trimmed_grid
+    keep = _mise_window(estimates.trimmed_grid, h_max)
+    _, c1_true, c2_true = true_values(model, xi, estimates.trimmed_grid[keep])
+    return _mise(estimates, keep, c1_true, c2_true)
+
+
+def _mise_window(grid: np.ndarray, h_max: float) -> np.ndarray:
+    """The points of a trimmed grid inside [h_max, 1 - h_max]; the grid must cover it."""
     # the grid covers [h_max, 1 - h_max] when h_max is inside its own ends' window
     if _inside(h_max, max(grid[0], 1.0 - grid[-1])).size == 0:
         raise GridMismatchError(
             f"decomposition grid [{grid[0]}, {grid[-1]}] does not cover "
             f"[{h_max}, {1 - h_max}]"
         )
-    keep = _inside(grid, h_max)
-    sub = grid[keep]
-    _, c1_true, c2_true = true_values(model, xi, sub)
+    return _inside(grid, h_max)
+
+
+def _mise(estimates: DecompositionResult, keep, c1_true, c2_true) -> tuple[float, float]:
+    """``mise`` given the window ``keep`` and the true components on it."""
+    sub = estimates.trimmed_grid[keep]
     m1 = np.trapezoid((estimates.c1[:, keep] - c1_true) ** 2, sub, axis=1).mean()
     m2 = np.trapezoid((estimates.c2[:, keep] - c2_true) ** 2, sub, axis=1).mean()
     return float(m1), float(m2)
@@ -250,7 +259,10 @@ def _run_one(
     decomps = decompose_many(
         sim.sample, smoothed, grid.pairs, trim=h_max, kernel=kernel
     )
-    mises = [mise(d, model, sim.xi, h_max) for d in decomps]
+    # every decomposition has the same h_max-trimmed grid: one truth serves all
+    keep = _mise_window(decomps[0].trimmed_grid, h_max)
+    _, c1_true, c2_true = true_values(model, sim.xi, decomps[0].trimmed_grid[keep])
+    mises = [_mise(d, keep, c1_true, c2_true) for d in decomps]
     keyed = [
         (m1 + m2, bw.h_t, bw.h_y, idx)
         for idx, ((m1, m2), bw) in enumerate(zip(mises, grid.pairs))

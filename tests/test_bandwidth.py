@@ -1,8 +1,10 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from rankdyn import bandwidth
 from rankdyn.bandwidth import BandwidthGrid, cv_objective, select_bandwidths
 from rankdyn.errors import DataError, DomainError, InsufficientDataError
 from rankdyn.kernels import BIWEIGHT, EPANECHNIKOV
@@ -344,6 +346,38 @@ class TestSelectBandwidths:
         values = [e.value for e in report.entries]
         if values[0] == values[1] == values[2]:
             assert report.chosen == Bandwidths(2.0, 0.2)
+
+
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, BIWEIGHT], ids=lambda k: k.name)
+@pytest.mark.parametrize("steps", [4, 8])
+def test_threaded_values_do_not_depend_on_the_core_count(sim200, kernel, steps, monkeypatch):
+    # n = 200 lies above the size rule, so the h_y groups are scored on up to
+    # two threads; the column blocks do not depend on how many run
+    sample = sim200.sample
+    assert sum(t.size for t in sample.times) * 201 >= bandwidth._THREADED_SIZE
+    grid = BandwidthGrid.geometric(steps=steps)
+    pools = []
+
+    class RecordedPool(bandwidth.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(bandwidth, "ThreadPoolExecutor", RecordedPool)
+    values = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cores in (1, 8):
+            monkeypatch.setattr(bandwidth, "_cpus", lambda: cores)
+            values[cores] = [e.value for e in select_bandwidths(sample, grid, kernel).entries]
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == [1]  # one worker beside the calling thread, on 8 CPUs only
+    assert values[1] == values[8]
+    for bw, value in zip(grid.pairs, values[8]):
+        solo = cv_objective(sample, bw, h_max=grid.h_max, kernel=kernel)
+        assert value == pytest.approx(solo, rel=1e-12, abs=0.0)
 
 
 def test_memory_grows_linearly_in_subjects():

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from rankdyn import _engine
+from rankdyn.bandwidth import BandwidthGrid
+from rankdyn.dynamics import decompose_many
 from rankdyn.kernels import BIWEIGHT, EPANECHNIKOV
+from rankdyn.sample import presmooth
+from rankdyn.simulation import generate_sample
 from reference import naive_partials, naive_qbars, naive_smooth_cdf
 
 
@@ -110,6 +114,33 @@ def test_engine_matches_oracle_on_blocks_of_times(kern, shift):
     allv = np.concatenate(values)
     yq = np.concatenate([allv, allv[:10] + 0.4, [shift - 0.5, shift + 0.3]])
     assert _oracle_gap(times, values, kern, pairs, ts, yq) < 1e-10
+
+
+def test_blocks_merge_times_within_the_moment_bound(model, monkeypatch):
+    # on 20 subjects one time's window holds a few hundred observations, so a
+    # block takes several times while its prefix moments stay within the bound
+    sim = generate_sample(model, 20, seed=3)
+    smoothed = presmooth(sim.sample, h_d=0.1, eval_grid_size=101)
+    grid = BandwidthGrid.geometric()
+    blocks, sizes = [], []
+    blocks_of, moments_of = _engine._blocks, _engine.prefix_moments
+
+    def recorded_blocks(*args):
+        for block in blocks_of(*args):
+            blocks.append(block)
+            yield block
+
+    def recorded_moments(*args):
+        mom = moments_of(*args)
+        sizes.append(mom.size)
+        return mom
+
+    monkeypatch.setattr(_engine, "_blocks", recorded_blocks)
+    monkeypatch.setattr(_engine, "prefix_moments", recorded_moments)
+    times = decompose_many(sim.sample, smoothed, grid.pairs, trim=grid.h_max)[0].trimmed_grid.size
+    assert sum(stop - start for start, stop in blocks) == times
+    assert len(blocks) < times
+    assert max(sizes) <= _engine.BLOCK_MOMENTS
 
 
 @pytest.mark.parametrize("kern", [EPANECHNIKOV, BIWEIGHT], ids=lambda k: k.name)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from rankdyn import simulation
 from rankdyn.bandwidth import BandwidthGrid
-from rankdyn.dynamics import DecompositionResult
+from rankdyn.dynamics import DecompositionResult, decompose_many
 from rankdyn.errors import DomainError, GridMismatchError
 from rankdyn.ranks import Bandwidths
+from rankdyn.sample import presmooth
 from rankdyn.simulation import (
     SimModel,
     basis_matrix,
@@ -216,6 +218,29 @@ class TestMonteCarlo:
         assert pooled.rows == serial.rows
         run_monte_carlo(model, [8], runs=1, grid=grid, base_seed=9, workers=5000)
         assert sizes == [2]  # one task runs in this process, without a pool
+
+    def test_truth_is_evaluated_once_per_replicate(self, model, monkeypatch):
+        # every pair's decomposition shares the h_max-trimmed grid, so one truth
+        # serves all MISEs and one more the rank statistics; the MISEs are
+        # those of ``mise`` called per pair
+        calls = []
+        real = simulation.true_values
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(simulation, "true_values", counting)
+        grid = BandwidthGrid.geometric(steps=2)
+        (row,) = run_monte_carlo(model, [12], runs=1, grid=grid, base_seed=3).rows
+        assert len(calls) == 2
+        monkeypatch.undo()
+        sim = generate_sample(model, 12, seed=3)
+        smoothed = presmooth(sim.sample, h_d=0.1, eval_grid_size=101)
+        decomps = decompose_many(sim.sample, smoothed, grid.pairs, trim=grid.h_max)
+        by_pair = {bw: mise(d, model, sim.xi, grid.h_max) for bw, d in zip(grid.pairs, decomps)}
+        assert (row.mise_c1_cv, row.mise_c2_cv) == by_pair[Bandwidths(row.h_y_cv, row.h_t_cv)]
+        assert (row.mise_c1_opt, row.mise_c2_opt) == by_pair[Bandwidths(row.h_y_opt, row.h_t_opt)]
 
     def test_report_helpers(self, model):
         grid = BandwidthGrid([Bandwidths(1.0, 0.25)])
