@@ -1,8 +1,10 @@
 """Command-line front end: ranks, decompose, summaries, cv, simulate.
 
-Every command writes its outputs atomically (temp file + rename) into the
---out directory together with a ``run_manifest.json`` that echoes all
-resolved parameters.  Re-running a command with ``--config
+A command computes everything first and returns its files, a map from
+file name to text.  ``main`` then writes each of them, figures included,
+into the --out directory by temp file and rename, and writes
+``run_manifest.json``, which echoes all resolved parameters, last.  A
+command that fails writes nothing.  Re-running a command with ``--config
 run_manifest.json`` reproduces the outputs byte-identically: the manifest
 stores the resolved bandwidths, so even a CV-selected run replays without
 re-selection.
@@ -18,12 +20,12 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, get_type_hints
+from typing import Callable, Iterable, get_type_hints
 
 import numpy as np
 
 from . import svgplot
-from .bandwidth import BandwidthGrid, CvReport, select_bandwidths
+from .bandwidth import BandwidthGrid, select_bandwidths
 from .dynamics import contributions, decompose
 from .errors import DataError, DomainError
 from .kernels import Kernel, get_kernel
@@ -116,38 +118,36 @@ def _csv_chunks(header: list[str], tables):
             yield "\n".join(map(",".join, zip(*[col(rows) for col in columns]))) + "\n"
 
 
-def _write_csv(path: Path, header: list[str], *tables) -> None:
-    """Write tables of equal-length columns, one after another, as one CSV."""
-    _write_atomic(path, _csv_chunks(header, tables))
-
-
 def _attr_columns(items, names: list[str]) -> list:
     """One float column per attribute name, a row per item."""
     return [_fmt_column([getattr(item, name) for item in items]) for name in names]
 
 
-def _write_ranks(path: Path, sets) -> None:
+def _ranks_csv(sets):
     def table(rk):
         # ranks are clamped into [0, 1]; adding 0.0 turns -0.0 into 0.0
         size, columns = _grid_table(rk.ids, rk.eval_grid, np.clip(rk.ranks, 0.0, 1.0) + 0.0)
         return size, [*columns, lambda rows: [rk.method] * rows.size]
 
-    _write_csv(path, ["id", "t", "rank", "method"], *map(table, sets))
+    return _csv_chunks(["id", "t", "rank", "method"], map(table, sets))
 
 
-def _write_decomposition(path: Path, dec) -> None:
+def _decomposition_csv(dec):
     table = _grid_table(dec.ids, dec.trimmed_grid, dec.c1, dec.c2, dec.rprime)
-    _write_csv(path, ["id", "t", "c1", "c2", "rprime"], table)
+    return _csv_chunks(["id", "t", "c1", "c2", "rprime"], [table])
 
 
-def _write_subject_summaries(path: Path, subs) -> None:
+def _subject_summaries_csv(subs):
     names = ["rho", "nu", "zeta", "eta"]
     columns = [_text_column([_csv_field(s.id) for s in subs]), *_attr_columns(subs, names)]
-    _write_csv(path, ["id", *names], (len(subs), columns))
+    return _csv_chunks(["id", *names], [(len(subs), columns)])
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    _write_atomic(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+def _json(payload: dict) -> list[str]:
+    return [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
+
+
+Files = dict[str, Iterable[str]]  # a command's outputs: file name -> text chunks, in write order
 
 
 @dataclass
@@ -174,7 +174,6 @@ class RunConfig:
     threads: int = 1
 
 
-_DEFAULTS = RunConfig(command="")
 _FIELD_TYPES = get_type_hints(RunConfig)
 
 
@@ -196,6 +195,7 @@ def _check_config(path: str, values) -> None:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
+    """A flag over the config file's value over the default; None is unset at every level."""
     config_values = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -204,18 +204,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             except ValueError as exc:
                 raise UsageError(f"config file {args.config!r} is not valid JSON: {exc}")
         _check_config(args.config, config_values)
-    cfg = RunConfig(command=args.command)
-    for name in vars(cfg):
-        if name == "command":
-            continue
-        cli_val = getattr(args, name, None)
-        if cli_val is not None:
-            setattr(cfg, name, cli_val)
-        elif name in config_values and config_values[name] is not None:
-            setattr(cfg, name, config_values[name])
-        else:
-            setattr(cfg, name, getattr(_DEFAULTS, name))
-    return cfg
+    given = [*config_values.items(), *((k, v) for k, v in vars(args).items() if k in _FIELD_TYPES)]
+    return RunConfig(**{k: v for k, v in given if v is not None})
 
 
 def _load_sample(cfg: RunConfig):
@@ -259,18 +249,17 @@ def _kernel(cfg: RunConfig) -> Kernel:
         raise UsageError(f"--kernel: {exc}") from None
 
 
-def _resolve_bandwidths(cfg: RunConfig, sample) -> tuple[Bandwidths, CvReport | None]:
+def _resolve_bandwidths(cfg: RunConfig, sample) -> Bandwidths:
     has_pair = cfg.h_y is not None or cfg.h_t is not None
     if has_pair and cfg.cv_grid is not None:
         raise UsageError("--h-y/--h-t and --cv-grid are mutually exclusive")
     if has_pair:
         if cfg.h_y is None or cfg.h_t is None:
             raise UsageError("--h-y and --h-t must be given together")
-        return Bandwidths(float(cfg.h_y), float(cfg.h_t)), None
+        return Bandwidths(float(cfg.h_y), float(cfg.h_t))
     if cfg.cv_grid is not None:
-        report = select_bandwidths(sample, _parse_grid(cfg.cv_grid, sample), kernel=_kernel(cfg))
-        return report.chosen, report
-    return default_bandwidths(sample), None
+        return select_bandwidths(sample, _parse_grid(cfg.cv_grid, sample), kernel=_kernel(cfg)).chosen
+    return default_bandwidths(sample)
 
 
 def _decomposed(cfg: RunConfig):
@@ -283,7 +272,7 @@ def _decomposed(cfg: RunConfig):
             raise UsageError(f"--trim must be 'auto' or a number, got {cfg.trim!r}") from None
         if not 0 < trim < 0.5:
             raise DomainError(f"--trim must lie in (0, 0.5), got {trim!r}")
-    sample, smoothed, kern, bw, _ = _pipeline(cfg)
+    sample, smoothed, kern, bw = _pipeline(cfg)
     trim = bw.h_t if trim is None else trim
     cfg.trim = repr(trim)
     return smoothed, kern, bw, decompose(sample, smoothed, bw, trim=trim, kernel=kern)
@@ -297,102 +286,86 @@ def _pipeline(cfg: RunConfig, need_bandwidths: bool = True):
     smoothed = presmooth(sample, h_d=h_d, eval_grid_size=int(cfg.eval_points), kernel=kern)
     cfg.h_d = float(h_d)
     if not need_bandwidths:
-        return sample, smoothed, kern, None, None
-    bw, report = _resolve_bandwidths(cfg, sample)
+        return sample, smoothed, kern, None
+    bw = _resolve_bandwidths(cfg, sample)
     # the manifest keeps the resolved pair without the grid: replay skips re-selection
     cfg.h_y, cfg.h_t, cfg.cv_grid = bw.h_y, bw.h_t, None
-    return sample, smoothed, kern, bw, report
+    return sample, smoothed, kern, bw
 
 
-def _manifest(cfg: RunConfig, outdir: Path) -> None:
-    _write_json(outdir / "run_manifest.json", asdict(cfg))
-
-
-def _outdir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _cmd_ranks(cfg: RunConfig) -> int:
+def _cmd_ranks(cfg: RunConfig) -> Files:
     if cfg.method not in ("both", "empirical", "smooth"):
         raise UsageError(f"--method must be 'empirical', 'smooth' or 'both', got {cfg.method!r}")
-    sample, smoothed, kern, bw, _ = _pipeline(cfg, need_bandwidths=cfg.method != "empirical")
-    out = _outdir(cfg)
+    _, smoothed, kern, bw = _pipeline(cfg, need_bandwidths=cfg.method != "empirical")
     sets = []
     if cfg.method in ("both", "empirical"):
         sets.append(empirical_ranks(smoothed))
     if cfg.method in ("both", "smooth"):
         sets.append(smooth_ranks(smoothed, bw, kernel=kern))
-    _write_ranks(out / "ranks.csv", sets)
+    files = {"ranks.csv": _ranks_csv(sets)}
     if cfg.svg:
         rk = sets[-1]
-        svgplot.line_chart(
-            out / "rank_trajectories.svg",
+        files["rank_trajectories.svg"] = [svgplot.line_chart(
             rk.eval_grid,
             list(rk.ranks),
             title=f"{rk.method} rank trajectories",
             y_label="rank",
-        )
-    _manifest(cfg, out)
-    return 0
+        )]
+    return files
 
 
-def _cmd_decompose(cfg: RunConfig) -> int:
+def _cmd_decompose(cfg: RunConfig) -> Files:
     _, _, _, dec = _decomposed(cfg)
     lam = contributions(dec)
-    out = _outdir(cfg)
-    _write_decomposition(out / "decomposition.csv", dec)
-    _write_json(out / "contributions.json", {"lambda1": lam.lambda1, "lambda2": lam.lambda2})
+    files = {
+        "decomposition.csv": _decomposition_csv(dec),
+        "contributions.json": _json({"lambda1": lam.lambda1, "lambda2": lam.lambda2}),
+    }
     if cfg.svg:
-        svgplot.line_chart(
-            out / "components.svg",
+        files["components.svg"] = [svgplot.line_chart(
             dec.trimmed_grid,
             [dec.c1.mean(axis=0), dec.c2.mean(axis=0)],
             labels=["population C1 (mean)", "individual C2 (mean)"],
             title="rank derivative components",
-        )
-    _manifest(cfg, out)
-    return 0
+        )]
+    return files
 
 
-def _cmd_summaries(cfg: RunConfig) -> int:
+def _cmd_summaries(cfg: RunConfig) -> Files:
     smoothed, kern, bw, dec = _decomposed(cfg)
     rks = smooth_ranks(smoothed, bw, kernel=kern)
     subs = subject_summaries(rks, dec)
     pop = population_summaries(dec)
-    out = _outdir(cfg)
-    _write_subject_summaries(out / "subject_summaries.csv", subs)
-    _write_json(out / "population.json", pop.to_json_dict())
+    files = {
+        "subject_summaries.csv": _subject_summaries_csv(subs),
+        "population.json": _json(pop.to_json_dict()),
+    }
     if cfg.svg:
-        svgplot.line_chart(
-            out / "gamma.svg",
+        files["gamma.svg"] = [svgplot.line_chart(
             dec.trimmed_grid,
             [pop.gamma],
             labels=["gamma(t)"],
             title="rank instability",
             y_label="gamma",
-        )
-    _manifest(cfg, out)
-    return 0
+        )]
+    return files
 
 
-def _cmd_cv(cfg: RunConfig) -> int:
+def _cmd_cv(cfg: RunConfig) -> Files:
     kern = _kernel(cfg)
     sample = _load_sample(cfg)
     grid = _parse_grid(cfg.cv_grid if cfg.cv_grid is not None else "default", sample)
     report = select_bandwidths(sample, grid, kernel=kern)
-    out = _outdir(cfg)
     bws = [e.bw for e in report.entries]
     columns = [*_attr_columns(bws, ["h_y", "h_t"]), *_attr_columns(report.entries, ["value"])]
-    _write_csv(out / "cv_report.csv", ["h_y", "h_t", "cv_value"], (len(bws), columns))
-    _write_json(out / "chosen.json", {"h_y": report.chosen.h_y, "h_t": report.chosen.h_t})
     cfg.h_y, cfg.h_t = report.chosen.h_y, report.chosen.h_t
-    _manifest(cfg, out)
-    return 0
+    return {
+        "cv_report.csv": _csv_chunks(["h_y", "h_t", "cv_value"], [(len(bws), columns)]),
+        "chosen.json": _json({"h_y": cfg.h_y, "h_t": cfg.h_t}),
+    }
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
+def _cmd_simulate(cfg: RunConfig) -> Files:
     try:
         n_list = [int(v) for v in str(cfg.n).split(",") if v.strip()]
     except ValueError:
@@ -411,32 +384,30 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         h_d=cfg.h_d,
         workers=int(cfg.threads),
     )
-    out = _outdir(cfg)
     rows = len(report.rows)
     keys = [_text_column([str(r.run) for r in report.rows]),
             _text_column([str(r.n) for r in report.rows])]
-    names = ["h_y_cv", "h_t_cv", "h_y_opt", "h_t_opt",
-             "mise_c1_cv", "mise_c2_cv", "mise_c1_opt", "mise_c2_opt"]
-    _write_csv(out / "report.csv", ["run", "n", *names],
-               (rows, [*keys, *_attr_columns(report.rows, names)]))
-    names = ["err_rho", "err_nu", "err_zeta"]
-    _write_csv(out / "summary_errors.csv", ["run", "n", *names],
-               (rows, [*keys, *_attr_columns(report.rows, names)]))
+    files = {}
+    for name, names in [
+        ("report.csv", ["h_y_cv", "h_t_cv", "h_y_opt", "h_t_opt",
+                        "mise_c1_cv", "mise_c2_cv", "mise_c1_opt", "mise_c2_opt"]),
+        ("summary_errors.csv", ["err_rho", "err_nu", "err_zeta"]),
+    ]:
+        files[name] = _csv_chunks(["run", "n", *names],
+                                  [(rows, [*keys, *_attr_columns(report.rows, names)])])
     if cfg.svg:
         for label, key in [("cv", lambda r: r.mise_c1_cv + r.mise_c2_cv),
                            ("opt", lambda r: r.mise_c1_opt + r.mise_c2_opt)]:
             series = [sorted(key(r) for r in report.rows if r.n == n) for n in n_list]
-            svgplot.line_chart(
-                out / f"mise_{label}.svg",
+            files[f"mise_{label}.svg"] = [svgplot.line_chart(
                 np.arange(1, 1 + max(len(s) for s in series)),
                 [np.array(s) for s in series],
                 labels=[f"n={n}" for n in n_list],
                 title=f"sorted total MISE at the {label} pick",
                 x_label="run (sorted)",
                 y_label="MISE",
-            )
-    _manifest(cfg, out)
-    return 0
+            )]
+    return files
 
 
 _COMMANDS = {
@@ -498,7 +469,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _merge_config(args)
-        return _COMMANDS[args.command](cfg)
+        files = _COMMANDS[args.command](cfg)
+        files["run_manifest.json"] = _json(asdict(cfg))
+        out = Path(cfg.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, parts in files.items():
+            _write_atomic(out / name, parts)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -43,8 +43,8 @@ class Bandwidths:
     h_t: float
 
     def __post_init__(self):
-        if not self.h_y > 0:
-            raise DomainError(f"h_y must be positive, got {self.h_y!r}")
+        if not 0 < self.h_y < np.inf:
+            raise DomainError(f"h_y must be positive and finite, got {self.h_y!r}")
         if not 0 < self.h_t < 0.5:
             raise DomainError(f"h_t must lie in (0, 0.5), got {self.h_t!r}")
 

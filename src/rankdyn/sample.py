@@ -481,8 +481,8 @@ def presmooth(
     """
     if h_d is None:
         h_d = default_presmooth_bandwidth(sample)
-    if h_d <= 0:
-        raise DomainError("presmoothing bandwidth h_d must be positive")
+    if not 0 < h_d < np.inf:
+        raise DomainError(f"presmoothing bandwidth h_d must be positive and finite, got {h_d!r}")
     if eval_grid_size < 2:
         raise DomainError("eval_grid_size must be at least 2")
     grid = np.linspace(0.0, 1.0, int(eval_grid_size))

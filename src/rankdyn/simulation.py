@@ -13,8 +13,8 @@ reproducible per-run report.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -335,7 +335,8 @@ def run_monte_carlo(
     tasks = [(int(n), run, base_seed + run) for run in range(runs) for n in n_list]
     workers = min(workers, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # looked up here: the process pool module loads multiprocessing, which only this branch uses
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(one, *zip(*tasks)))
     else:
         rows = [one(*task) for task in tasks]

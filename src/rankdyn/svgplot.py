@@ -20,8 +20,8 @@ def _ticks(lo: float, hi: float, count: int = 5):
     return [float(v) for v in raw]
 
 
-def line_chart(path, x, series, labels=None, title="", x_label="t", y_label=""):
-    """Write a polyline chart of one or more series over a common x grid.
+def line_chart(x, series, labels=None, title="", x_label="t", y_label="") -> str:
+    """The SVG text of a polyline chart of one or more series over a common x grid.
 
     ``series`` is an iterable of 1-d arrays matching ``x`` in length; at
     most 40 series are drawn (thin lines) to keep files small.
@@ -92,5 +92,4 @@ def line_chart(path, x, series, labels=None, title="", x_label="t", y_label=""):
                 f'fill="{color}">{labels[k]}</text>'
             )
     out.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(out) + "\n")
+    return "\n".join(out) + "\n"

@@ -111,18 +111,43 @@ class TestDecomposeCommand:
 
 
 @pytest.mark.parametrize("command, files", [
-    ("decompose", ["decomposition.csv", "contributions.json"]),
-    ("summaries", ["subject_summaries.csv", "population.json"]),
+    ("decompose", ["decomposition.csv", "contributions.json", "components.svg"]),
+    ("summaries", ["subject_summaries.csv", "population.json", "gamma.svg"]),
 ])
 def test_one_trimmed_point_exits_1_and_writes_nothing(command, files, data_csv, tmp_path, capsys):
     # the evaluation grid {0, 0.5, 1} keeps only 0.5 inside [0.2, 0.8]
     out = tmp_path / "o"
     assert main([command, "--input", str(data_csv), "--h-y", "0.8", "--h-t", "0.2",
-                 "--eval-points", "3", "--out", str(out)]) == 1
+                 "--eval-points", "3", "--svg", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: fewer than two evaluation points remain inside [trim, 1 - trim]")
     assert "Traceback" not in err
     assert not any((out / name).exists() for name in files)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, flags, message", [
+    ("decompose", ["--h-y", "inf", "--h-t", "0.2"], "h_y must be positive and finite, got inf"),
+    ("summaries", ["--h-y", "inf", "--h-t", "0.2"], "h_y must be positive and finite, got inf"),
+    ("ranks", ["--h-y", "inf", "--h-t", "0.2"], "h_y must be positive and finite, got inf"),
+    ("ranks", ["--h-d", "nan"], "presmoothing bandwidth h_d must be positive and finite, got nan"),
+    ("ranks", ["--h-d", "inf"], "presmoothing bandwidth h_d must be positive and finite, got inf"),
+])
+def test_non_finite_bandwidth_exits_1_and_writes_nothing(command, flags, message, data_csv,
+                                                         tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main([command, "--input", str(data_csv), "--svg", "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, figure", [("decompose", "components.svg"), ("summaries", "gamma.svg")])
+def test_figures_parse_and_leave_no_temp_file(command, figure, data_csv, tmp_path):
+    out = tmp_path / "o"
+    assert main([command, "--input", str(data_csv), "--h-y", "0.8", "--h-t", "0.2", "--svg",
+                 "--out", str(out)]) == 0
+    assert ET.parse(out / figure).getroot().tag.endswith("svg")
+    assert not list(out.glob("*.tmp"))
 
 
 def test_trim_from_config_number_matches_flag(data_csv, tmp_path):
@@ -279,7 +304,7 @@ class TestWriterMatchesRowByRowOracle:
             [[0.12345678901234568, -1e-12], [1 + 1e-12, 0.5], [-0.0, 0.9999999999999999]],
             "smooth",
         )
-        cli._write_ranks(tmp_path / "ranks.csv", [empirical, smooth])
+        cli._write_atomic(tmp_path / "ranks.csv", cli._ranks_csv([empirical, smooth]))
         self._check(tmp_path / "ranks.csv", naive_ranks_csv([empirical, smooth]))
         text = (tmp_path / "ranks.csv").read_text()
         assert "-0.0" not in text and "1.000000000001" not in text
@@ -290,20 +315,20 @@ class TestWriterMatchesRowByRowOracle:
                        [0.0, 7.0, -self.THIRD]])
         c2 = np.array([[-self.THIRD, 0.0, 5e-324], [1.0, 2.0 / 3.0, -0.1], [1e-17, -7.0, 0.5]])
         dec = DecompositionResult(self.IDS, [0.2, 0.5, 0.8], c1, c2, c1 + c2)
-        cli._write_decomposition(tmp_path / "decomposition.csv", dec)
+        cli._write_atomic(tmp_path / "decomposition.csv", cli._decomposition_csv(dec))
         self._check(tmp_path / "decomposition.csv", naive_decomposition_csv(dec))
 
     def test_subject_summaries(self, tmp_path):
         subs = [SubjectSummary(sid, self.THIRD * k, 0.1 + 0.2, -0.0, 1e-17 * k)
                 for k, sid in enumerate(self.IDS)]
-        cli._write_subject_summaries(tmp_path / "subject_summaries.csv", subs)
+        cli._write_atomic(tmp_path / "subject_summaries.csv", cli._subject_summaries_csv(subs))
         self._check(tmp_path / "subject_summaries.csv", naive_subject_summaries_csv(subs))
 
     def test_signed_zeros_repeats_and_subnormals(self, tmp_path):
         # each column mixes 0.0 and -0.0 with repeated values and subnormals
         c1 = np.array([[0.0, -0.0, 5e-324], [-0.0, self.THIRD, 0.0], [5e-324, -5e-324, self.THIRD]])
         dec = DecompositionResult(self.IDS, [0.2, 0.5, 0.8], c1, -c1, c1 * 0.0)
-        cli._write_decomposition(tmp_path / "decomposition.csv", dec)
+        cli._write_atomic(tmp_path / "decomposition.csv", cli._decomposition_csv(dec))
         self._check(tmp_path / "decomposition.csv", naive_decomposition_csv(dec))
         c1_fields = [row[2] for row in _read_csv(tmp_path / "decomposition.csv")[1][3:6]]
         assert c1_fields == ["-0.0", "0.3333333333333333", "0.0"]
@@ -315,7 +340,7 @@ class TestWriterMatchesRowByRowOracle:
         sets = [RankTrajectories([f"s{i}" for i in range(n)], np.linspace(0.0, 1.0, g),
                                  np.round(rng.uniform(size=(n, g)), 3), method)
                 for method in ("empirical", "smooth")]
-        cli._write_ranks(tmp_path / "ranks.csv", sets)
+        cli._write_atomic(tmp_path / "ranks.csv", cli._ranks_csv(sets))
         self._check(tmp_path / "ranks.csv", naive_ranks_csv(sets))
 
     def test_commands_write_what_the_oracle_formats(self, odd_ids_csv, tmp_path):
@@ -352,7 +377,8 @@ def test_ingest_memory_is_bounded_by_the_batch(tmp_path, monkeypatch):
             fh.writelines(f"s{i:05d},{t!r},{v!r}\n" for t, v in zip(grid.tolist(), row))
 
     # one traced run of the command; each stage's peak is counted above what
-    # the stages before it left allocated
+    # the stages before it left allocated, and the writer's is the largest
+    # over the files it writes
     peaks = {"op": 0}
 
     def traced(name, fn):
@@ -361,12 +387,12 @@ def test_ingest_memory_is_bounded_by_the_batch(tmp_path, monkeypatch):
             tracemalloc.reset_peak()
             result = fn(*args, **kwargs)
             after = tracemalloc.get_traced_memory()[1]
-            peaks[name] = after - held
+            peaks[name] = max(peaks.get(name, 0), after - held)
             peaks["op"] = max(peaks["op"], before, after)
             return result
         return call
 
-    for name in ("load_long_csv", "presmooth", "_write_ranks"):
+    for name in ("load_long_csv", "presmooth", "_write_atomic"):
         monkeypatch.setattr(cli, name, traced(name, getattr(cli, name)))
     args = ["ranks", "--input", str(path), "--out", str(tmp_path / "out"), "--method", "empirical"]
     tracemalloc.start()
@@ -379,7 +405,7 @@ def test_ingest_memory_is_bounded_by_the_batch(tmp_path, monkeypatch):
     one = n * 101 * 8        # one (n, G) array on the default evaluation grid
     assert peaks["load_long_csv"] <= 5 * parsed
     assert peaks["presmooth"] <= 6 * one   # values, derivatives and the 3 weighted responses
-    assert peaks["_write_ranks"] <= 5 * one
+    assert peaks["_write_atomic"] <= 5 * one
     assert peaks["op"] <= 10 * one
 
 
@@ -498,6 +524,24 @@ class TestExitCodes:
         assert err.startswith("usage error: " if code == 2 else "error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("args, config", [
+        (["ranks", "--input", "DATA", "--method", "rank"], None),
+        (["simulate", "--n", "8,x", "--runs", "1"], None),
+        (["simulate", "--n", "", "--runs", "1"], None),
+        (["decompose", "--input", "DATA", "--config", "CFG"], "[0.8, 0.2]"),
+        (["decompose", "--input", "DATA", "--config", "CFG"], '{"h_y": 0.8,'),
+        (["summaries", "--h-y", "0.8", "--h-t", "0.2"], None),
+    ], ids=["method", "n-malformed", "n-empty", "config-not-object", "config-not-json", "no-input"])
+    def test_usage_error_writes_nothing(self, args, config, data_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        if config is not None:
+            cfg.write_text(config)
+        args = [{"DATA": str(data_csv), "CFG": str(cfg)}.get(a, a) for a in args]
+        out = tmp_path / "o"
+        assert main([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
+
     def test_kernel_flag_and_config_key_share_one_check(self, data_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kernel": "gaussian"}))
@@ -511,10 +555,12 @@ class TestExitCodes:
 
 def test_importing_the_cli_loads_no_scipy():
     # only the simulation's closed-form truths use scipy, and importing it
-    # would double the start-up time of every command
+    # would double the start-up time of every command; multiprocessing is
+    # only for the simulation's process pool
     src = str(Path(rankdyn.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, rankdyn.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = ("import sys, rankdyn.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     assert done.stdout.strip() == "[]"

@@ -33,6 +33,17 @@ class TestBandwidths:
         with pytest.raises(DomainError):
             Bandwidths(1.0, 0.0)
 
+    @pytest.mark.parametrize("h_y, h_t, message", [
+        (float("inf"), 0.2, "h_y must be positive and finite, got inf"),
+        (float("nan"), 0.2, "h_y must be positive and finite, got nan"),
+        (1.0, float("inf"), "h_t must lie in (0, 0.5), got inf"),
+        (1.0, float("nan"), "h_t must lie in (0, 0.5), got nan"),
+    ])
+    def test_non_finite_values_are_named(self, h_y, h_t, message):
+        with pytest.raises(DomainError) as info:
+            Bandwidths(h_y, h_t)
+        assert str(info.value) == message
+
     def test_default_rule(self, sim50):
         bw = default_bandwidths(sim50.sample)
         rate = 50 ** (-0.25)

@@ -399,6 +399,15 @@ class TestPresmooth:
         with pytest.raises(DomainError):
             presmooth(s, h_d=0.3, eval_grid_size=1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h_d", [float("nan"), float("inf")])
+    def test_non_finite_bandwidth_is_named(self, h_d):
+        g = np.linspace(0, 1, 11)
+        s = FunctionalSample.from_matrix(g, np.zeros((1, 11)))
+        with pytest.raises(DomainError) as info:
+            presmooth(s, h_d=h_d)
+        assert str(info.value) == f"presmoothing bandwidth h_d must be positive and finite, got {h_d!r}"
+
     def test_default_bandwidth_rule(self):
         g = np.linspace(0, 1, 11)
         s = FunctionalSample.from_matrix(g, np.zeros((1, 11)))

@@ -210,7 +210,7 @@ class TestMonteCarlo:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr("rankdyn.simulation.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         grid = BandwidthGrid([Bandwidths(1.2, 0.25)])
         serial = run_monte_carlo(model, [8], runs=2, grid=grid, base_seed=9)
         pooled = run_monte_carlo(model, [8], runs=2, grid=grid, base_seed=9, workers=5000)
