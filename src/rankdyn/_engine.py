@@ -25,10 +25,20 @@ the binomial expansion P(z - v_k) = sum_{s,r} A[s, r] z^s v_k^r
 the open band |x_k - x_q| < reach in one cell into
 sum_{s,r} A[s, r] z^s M_r, where M_r = sum a_k v_k^r is a difference of two
 prefix moments (``prefix_moments``; z and v in units of reach).
-``band_rule`` cuts each band at its cell edges by ``searchsorted`` and
-weighs each cell's moments: O(log N) and a small polynomial per query
-instead of O(band).  The cells a band spans are counted from the data, so
-an edge that rounding puts on a cell edge costs a cell, not a wrong sum.
+``cells`` also tabulates where each cell starts, once per set of cells.
+``band_rule`` finds a band's two ends by ``searchsorted`` and its first
+cell from its lower end; its inner cell edges are then rows of the table,
+and its per-cell weights one 2-D matmul of the powers of z against the
+stacked expansions: O(log N) and a small polynomial per query instead of
+O(band).  The cells a band spans are counted from the data, so an edge that
+rounding puts on a cell edge costs a cell, not a wrong sum.  In the table
+a run of empty cells wider than any band counts as only just wider, so it
+holds O(N) rows whatever the spread: a value 1e12 widths from the rest
+adds a dozen rows.  At the n = 200 block shape (the 164 calls of a
+``decompose_many``, 200 queries each) a call with its inner edges took
+175-181 us with a ``searchsorted`` per query and inner edge and a stack of
+small matmuls for the weights, and takes 113-115 us this way (best of 7,
+1 BLAS thread).
 The band may be open: a point on its edge has K = 0, or H = 1 and lies in
 the mass below it.  Who is in a band is decided in the caller's units: CV
 compares times as they are (tau > s - h_t), as its own-subject count does,
@@ -38,10 +48,12 @@ Along y, with a_k a time weight (w_k K or w_k K') and
 u_k = (y_q - y_k)/h_Y, H is 1 for u >= 1 and 0 for u <= -1, so sum_k a_k
 H(u_k) is the prefix sum of a_k over y_k <= y_q - h_Y plus a band sum.
 ``flatten`` sorts the pooled observations by value once, ties broken by
-time.  ``qbar_grid`` walks its times in ascending order (the outputs keep
-the caller's order) in consecutive blocks.  A block's window, every
-observation within the widest h_T of its [first, last] time, is picked out
-of the value-sorted data and so stays sorted.  Its prefix moments have one
+time.  ``qbar_grid`` walks its times in ascending order in consecutive
+blocks.  Each h_Y writes a block's raw S1, S3 and S5 columns into one
+array in the caller's time order, and each pair divides its own columns
+out once at the end.  A block's window, every observation within the
+widest h_T of its [first, last] time, is picked out of the value-sorted
+data and so stays sorted.  Its prefix moments have one
 column per block time, distinct h_T and K or K'; a query reads only its own
 time's columns, where observations outside that time's window weigh zero.
 A block grows while its prefix moments, (window size + 1) x times x
@@ -84,9 +96,12 @@ moments directly put it 1.8e-10 (Epanechnikov, an outlier 50 units out)
 to 0.57 (biweight, 500 out) from the direct sums.  A CV window holds its
 own time, so is never empty; CV weighs the edge moments directly, as
 differencing first made ``select_bandwidths`` 1.5 to 2 times slower on
-ragged samples of 30 to 120 subjects.  It builds one set of prefix moments
-per column block for every h_T of a set, and reads each h_T's window edges
-from it in one gathered matmul.
+ragged samples of 30 to 120 subjects.  A window's inner edges are cell
+starts, which all windows share, so CV weighs them once per h_T into a
+matrix over the cells, banded in row chunks.  A column block builds one set
+of prefix moments for every h_T of a set; each h_T's window sums are then
+a matmul per chunk against the moments at the cell starts, plus the reads
+at each window's two ends.
 
 No temporary is a (queries x window) product, so queries need no chunking.
 """
@@ -155,12 +170,30 @@ def _powers(x: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def cells(x: np.ndarray, width: float, deg: int):
-    """The cells floor(x / width) of ``x``, and each point's offset from its
-    cell's centre, in units of the width, to the powers 0 .. deg-1: (cell, vpow)."""
+@dataclass
+class Cells:
+    """The cells of a set of sorted points, and where each cell starts."""
+
+    cell: np.ndarray   # (N,) each point's cell floor(x / width)
+    key: np.ndarray    # (N,) its row of ``start``
+    start: np.ndarray  # start[k]: the first point whose key is k or more; start[-1] = N
+    vpow: np.ndarray   # (N, deg) offsets from the cell centres, in widths, to powers 0 .. deg-1
+
+
+def cells(x: np.ndarray, width: float, deg: int, reach: float) -> Cells:
+    """The cells floor(x / width) of the sorted ``x``, for bands of at most ``reach``.
+
+    The keys count cells from the first point's, except that a run of more
+    empty cells than a band of ``reach`` spans counts as that many, so the
+    start table holds at most N (span + 1) + 1 rows whatever the spread of
+    ``x``.  A band's cells then have consecutive keys.
+    """
     u = x / width
     cell = np.floor(u)
-    return cell, _powers(u - cell - 0.5, deg)
+    span = int(2.0 * reach / width) + 2  # more cells than any band spans
+    key = np.concatenate([[0], np.cumsum(np.minimum(np.diff(cell), span).astype(np.intp))])
+    start = np.searchsorted(key, np.arange(key[-1] + 2))
+    return Cells(cell, key, start, _powers(u - cell - 0.5, deg))
 
 
 def prefix_moments(vpow: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -173,29 +206,29 @@ def prefix_moments(vpow: np.ndarray, a: np.ndarray) -> np.ndarray:
     return mom
 
 
-def band_rule(x, cell, xq, reach: float, width: float, expand: np.ndarray):
-    """Cell-edge cuts and per-cell weights of the open bands |x - xq| < reach.
+def band_rule(x, cl: Cells, xq, reach: float, width: float, expand: np.ndarray):
+    """Band edges, first cells and per-cell weights of the open bands |x - xq| < reach.
 
-    ``x`` is sorted, ``cell`` its cells of ``width`` and ``expand`` a stack
-    of kernel expansions.  Returns (lo, edges, weights): the band of query q
-    is x[lo[q]:edges[q, -1]], cut at its cell edges by edges[q] (cells + 1
-    of them), and weights[q] is (kernels, cells, deg): the sum of
-    P_f((xq - x) / reach) over the band's part of its c-th cell is
-    weights[q, f, c] times that part's moments about the cell's centre.
+    ``x`` is sorted, ``cl`` its cells of ``width``, made for bands at least
+    this wide, and ``expand`` a stack of kernel expansions.  Returns (lo, hi,
+    first, weights): the band of query q is x[lo[q]:hi[q]], its c-th cell
+    starts at cl.start[first[q] + c] (for c >= 1; cut to the band) and
+    weights[q] is (kernels, cells, deg): the sum of P_f((xq - x) / reach)
+    over the band's part of its c-th cell is weights[q, f, c] times that
+    part's moments about the cell's centre.
     """
     lo = np.searchsorted(x, xq - reach, side="right")
     hi = np.searchsorted(x, xq + reach, side="left")
-    first = cell[np.minimum(lo, x.size - 1)]
-    ncell = int((cell[hi - 1] - first).max(initial=0.0, where=hi > lo)) + 1
-    inner = np.searchsorted(cell, first[..., None] + np.arange(1, ncell), side="left")
-    edges = np.concatenate(
-        [lo[..., None], np.clip(inner, lo[..., None], hi[..., None]), hi[..., None]], axis=-1
-    )
+    at = np.minimum(lo, x.size - 1)
+    first = cl.key[at]
+    ncell = int((cl.key[hi - 1] - first).max(initial=0, where=hi > lo)) + 1
     # z and v in units of the band's half width: scale the r-th moment by (width / reach)^r
-    half, deg = reach / width, expand.shape[-1]
-    z = (xq[..., None] / width - (first[..., None] + np.arange(ncell) + 0.5)) / half
+    half, (kernels, deg, _) = reach / width, expand.shape
+    z = (xq[..., None] / width - (cl.cell[at][..., None] + np.arange(ncell) + 0.5)) / half
     scale = _powers(np.float64(1.0 / half), deg)
-    return lo, edges, _powers(z, deg)[..., None, :, :] @ (expand * scale)
+    coef = (expand * scale).transpose(1, 0, 2).reshape(deg, kernels * deg)
+    weights = (_powers(z, deg).reshape(-1, deg) @ coef).reshape(*z.shape, kernels, deg)
+    return lo, hi, first, weights.swapaxes(-2, -3)
 
 
 # Bandwidths within this factor of the narrowest in their set share its
@@ -268,10 +301,13 @@ def qbar_grid(flat: FlatData, kern: Kernel, pairs, ts, yq, partials: bool = True
     for idx, (hy, _) in enumerate(pairs):
         groups.setdefault(float(hy), []).append(idx)
 
-    shapes = (yq.shape, ts.size, yq.shape, ts.size, yq.shape)[: 5 if partials else 2]
-    out = [tuple(np.zeros(shape) for shape in shapes) for _ in pairs]
+    # raw sums in the caller's time order: per h_y S1 and S3 per time weight
+    # column, then S5 per h_t; S2 and S4 per column; divided out per pair at the end
+    ncol = expand.shape[0] * nt
+    raw = {hy: np.zeros((*yq.shape, ncol + nt * partials)) for hy in groups}
+    total = np.zeros((ts.size, ncol))
     order = np.argsort(ts, kind="stable")
-    per_time = expand.shape[0] * nt * deg  # K (and K') columns of each h_t, times their powers
+    per_time = ncol * deg  # K (and K') columns of each h_t, times their powers
     for start, stop in _blocks(np.sort(flat.t), ts[order], reach, per_time):
         cols = order[start:stop]
         tb, own = ts[cols], np.arange(cols.size)
@@ -289,25 +325,29 @@ def qbar_grid(flat: FlatData, kern: Kernel, pairs, ts, yq, partials: bool = True
         origin = ys[ys.size // 2]
         for width, shared in cell_sets(groups):
             u = (ys - origin) / width
-            cell, vpow = cells(u, 1.0, deg)
-            mom = prefix_moments(vpow, a)
-            total = mom[-1, :, 0]
+            cl = cells(u, 1.0, deg, shared[-1] / width)
+            mom = prefix_moments(cl.vpow, a)
+            total[cols] = mom[-1, :, 0]
             uq = (yq[:, cols] - origin) / width
             for hy in shared:
-                lo, edges, weights = band_rule(u, cell, uq, hy / width, 1.0, expand)
+                lo, hi, first, weights = band_rule(u, cl, uq, hy / width, 1.0, expand)
+                # the band's inner cell edges, read from the table and cut to the band
+                inner = first[..., None] + np.arange(1, weights.shape[-2])
+                inner = np.minimum(np.take(cl.start, inner, mode="clip"), hi[..., None])
+                edges = np.concatenate([lo[..., None], inner, hi[..., None]], axis=-1)
                 # each cell's moment difference, then its weights (see the module notes)
                 band = np.diff(mom[edges, own[:, None]], axis=2).reshape(*uq.shape, -1, a.shape[-1])
                 sums = weights.reshape(*uq.shape, expand.shape[0], -1) @ band
-                s_h = mom[lo, own, 0] + sums[:, :, 0]
-                for idx in groups[hy]:
-                    ht = pairs[idx][1]
-                    c = col[float(ht)]
-                    q1, q2, *rest = out[idx]
-                    q1[:, cols] = s_h[..., c] / (n * ht)
-                    q2[cols] = total[:, c] / (n * ht)
-                    if partials:
-                        q3, q4, q5 = rest
-                        q3[:, cols] = s_h[..., nt + c] / (n * ht * ht)
-                        q4[cols] = total[:, nt + c] / (n * ht * ht)
-                        q5[:, cols] = sums[:, :, 1, c] / (n * hy * ht)
+                sums[:, :, 0] += mom[lo, own, 0]
+                raw[hy][:, cols, :ncol] = sums[:, :, 0]
+                if partials:
+                    raw[hy][:, cols, ncol:] = sums[:, :, 1, :nt]
+    out = []
+    for hy, ht in pairs:
+        c, s = col[float(ht)], raw[float(hy)]
+        q = [s[..., c] / (n * ht), total[:, c] / (n * ht)]
+        if partials:
+            q += [s[..., nt + c] / (n * ht * ht), total[:, nt + c] / (n * ht * ht),
+                  s[..., ncol + c] / (n * hy * ht)]
+        out.append(tuple(q))
     return out

@@ -33,18 +33,25 @@ time tau (a shared grid of m points gives m rows), by the engine's
 sum-updating rule (``_engine``).  The h_t share cells by the engine's
 ``cell_sets``: each column block builds one set of prefix moments per set
 of h_t, on cells as wide as its narrowest, and every h_t of the set reads
-its window edges from it.  S_i is direct: a grid's own windows hold few
+it.  The cells a window spans whole are weighed once per h_t, into a
+matrix over the cell starts held in row chunks (``_cell_matrix``), so a
+block's window sums are a matmul per chunk against the moments at the cell
+starts plus two edge reads per window.  S_i is direct: a grid's own windows hold few
 points, so one matmul per grid, its time weights against its block of G,
 gives every member's own sums.  W and W_i take the same two routes.  A
 leave-out window left empty is found by counting, so rounding in the
 prefix moments cannot hide it.
 
 Given the masses, the score adds up over y-grid columns, so the columns
-are taken in blocks.  A block's buffers, counted with the four edge reads
-a window makes on cells of its own h_t, stay within one (N, 201) H, N the
-number of observations.  On a set's narrowest cells the widest h_t reads
-up to 12 edges, so on a ragged sample, where nearly every observation time
-is scored, its gather takes a block to about 1.5 H.
+are taken in blocks.  A block's buffers, the two edge reads per window
+included, stay within one (N, 201) H, N the number of observations, or
+within _BLOCK_FLOOR = 2^18 floats (2 MB) when that is more.  A chunk of
+the whole-cell matrix is at most one cell wider than a window, so an h_t's
+matrix holds no more than a gather of its windows' edges would for one
+column.  The floor lets a small sample run fewer, wider blocks: 18 columns
+a block instead of 13 on a 30-subject ragged sample (N x 201 = 193k).  It
+left the peak resident memory of that sample's ``cv`` and ``summaries``
+runs flat, where 2^19 floats added 4% and 2^20 added 10%.
 
 The h_y groups write nothing they share: each has its own y-grid, H,
 window sums, own sums and score, and fills its own pairs' values.  Once
@@ -55,12 +62,15 @@ block's large kernels.  (Two workers instead left a second allocator arena
 holding about 3 MB after the call.)  Each block then gets half the one-H
 budget, even on one CPU: two blocks in flight stay within one H, and the
 blocks, and so the values, are bitwise the same whatever the number of
-CPUs.  The rule sits where no input measured loses (2 CPUs, 1 BLAS thread,
-default grid).  On the verification model, threads took CV at n = 20 from
-13 to 22 ms, were even to 14% slower at n = 50, and won 1.3 to 1.9 times
-from n = 70 up (n = 200: 134 -> 78 ms; 300 subjects: 210 -> 115 ms).  On
-ragged samples they lost up to 1.9 times below N x 201 = 7e5 (30 subjects:
-83 -> 138 ms) and only broke even above 10^6.
+CPUs.  Above the rule, threads won on every input measured (2 CPUs, 1 BLAS
+thread, default grid); below it, they lose on the smallest.  On the
+verification model they took CV at n = 20 from 13 to 22 ms, were even to
+14% slower at n = 50, and won 1.3 to 1.9 times from n = 70 up (n = 200:
+134 -> 78 ms; 300 subjects: 210 -> 115 ms).  On ragged samples (one grid
+per subject, 25 to 40 times each; best of 5, threads off -> on) they took
+30 subjects from 80 to 103 ms, and won from 80 subjects up: 244 -> 225 ms
+at 80, 451 -> 378 ms at 160 (just below the rule), 757 -> 525 ms at 240,
+and 1451 -> 924 ms on 100 subjects of 120 to 162 times each.
 """
 
 from __future__ import annotations
@@ -88,6 +98,8 @@ __all__ = [
 _Y_GRID_SIZE = 201
 # N x 201 from which CV scores its h_y groups on two threads (module notes)
 _THREADED_SIZE = 2**20
+# the least a column block's buffers may hold, in floats (2 MB; module notes)
+_BLOCK_FLOOR = 2**18
 
 
 def _cpus() -> int:
@@ -95,6 +107,43 @@ def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _block_width(one_h: int, per_col: int, threaded: bool) -> int:
+    """y-grid columns per block: buffers of ``per_col`` floats a column within
+    one H of ``one_h`` floats or _BLOCK_FLOOR, whichever is more; half that
+    when threaded, however many threads run."""
+    return max(1, max(one_h, _BLOCK_FLOOR) // (per_col * (2 if threaded else 1)))
+
+
+def _cell_matrix(key, hi, first, w):
+    """One h_t's window coefficients: its two edges, and whole cells as a banded matrix.
+
+    ``w`` is (windows, cells, deg), ``band_rule``'s weights of the windows
+    tau[lo:hi], none empty, whose c-th cell starts at table row first + c.
+    With M(i) the prefix moments of the first i times, a window's sum is
+    -w[q, 0] . M(lo) + w[q, last] . M(hi), plus (w[q, c - 1] - w[q, c]) .
+    M(start of cell c) for c = 1 .. last, its last cell.  Returns the edge
+    coefficients (windows, 2 deg) and the whole-cell ones as chunks (r0, r1,
+    c0, mat): windows r0:r1 take mat @ the flattened moments at the cell
+    starts from row c0 on.  A chunk takes the windows that end within
+    cells + 1 of its first window's first cell, so its rows hold no more
+    than a gather of each window's cells + 1 edges would for one column.
+    """
+    ni, ncell, deg = w.shape
+    last = key[hi - 1] - first
+    edge = np.concatenate([-w[:, 0], w[np.arange(ni), last]], axis=1)
+    inner = w[:, :-1] - w[:, 1:]
+    end = first + last
+    chunks, r0 = [], 0
+    while r0 < ni:
+        r1 = int(np.searchsorted(end, first[r0] + ncell + 1, side="right"))
+        rows, c = np.nonzero(np.arange(1, ncell) <= last[r0:r1, None])
+        mat = np.zeros((r1 - r0, end[r1 - 1] - first[r0], deg))
+        mat[rows, first[r0 + rows] + c - first[r0]] = inner[r0 + rows, c]
+        chunks.append((r0, r1, (first[r0] + 1) * deg, mat.reshape(r1 - r0, -1)))
+        r0 = r1
+    return edge, chunks
 
 
 @dataclass
@@ -198,35 +247,41 @@ def _cv_values(
     lead = [next(p for p, bw in enumerate(pairs) if bw.h_t == h_t) for h_t in h_ts]
     expand = expansion(kernel.density_coeffs)[None]
     deg = expand.shape[-1]
-    # per cell set its points' offsets; per h_t its set, window edges and edge coefficients
-    vpows, rules = [], []
+    # per cell set its points' offsets and cell starts; per h_t its set, window
+    # edges, their coefficients and the matrix of whole-cell coefficients
+    sets, rules = [], []
     for cell_width, shared in cell_sets(h_ts):
-        cell, vpow = cells(tau, cell_width, deg)
+        cl = cells(tau, cell_width, deg, shared[-1])
         for h_t in shared:
-            _, edges, weights = band_rule(tau, cell, interior, h_t, cell_width, expand)
-            # a cell's sum is its two edges' moments apart: weigh each edge's moments directly
-            coef = -np.diff(np.pad(weights[:, 0], ((0, 0), (1, 1), (0, 0))), axis=1)
-            rules.append((len(vpows), edges, coef.reshape(interior.size, 1, -1)))
-        vpows.append(vpow)
+            lo, hi, first, weights = band_rule(tau, cl, interior, h_t, cell_width, expand)
+            edge, chunks = _cell_matrix(cl.key, hi, first, weights[:, 0])
+            rules.append((len(sets), np.column_stack([lo, hi]), edge[:, None], chunks))
+        sets.append((cl.vpow, cl.start))
 
     def window_sums(d, use):
         """out[q, s] = sum_tau K((s - tau) / h_t) d[tau] for h_t = h_ts[use[q]], d (T, columns).
 
-        The moments of one cell set at a time; each h_t reads its edges in one gather.
+        The moments of one cell set at a time; each h_t reads the moments at
+        its cells' starts in one matmul per row chunk, and its window edges.
         """
-        out = np.empty((len(use), interior.size, d.shape[1]))
+        b = d.shape[1]
+        out = np.empty((len(use), interior.size, b))
         for k in sorted({rules[c][0] for c in use}):
-            mom = prefix_moments(vpows[k], d)
+            vpow, start = sets[k]
+            mom = prefix_moments(vpow, d)
+            at_start = mom[start].reshape(-1, b)
             for q, c in enumerate(use):
                 if rules[c][0] == k:
-                    edges, coef = rules[c][1:]
-                    out[q] = (coef @ mom[edges].reshape(interior.size, -1, d.shape[1]))[:, 0]
+                    _, ends, edge, chunks = rules[c]
+                    for r0, r1, c0, mat in chunks:
+                        np.matmul(mat, at_start[c0 : c0 + mat.shape[1]], out=out[q, r0:r1])
+                    out[q] += (edge @ mom[ends].reshape(interior.size, -1, b))[:, 0]
         return out
 
     w_t, n_t = per_time(np.column_stack([wts, np.ones(vals.size)])).T  # mass and count per time
     mass = window_sums(w_t[:, None], range(len(h_ts)))[:, :, 0].T
     n_t = np.append(0.0, np.cumsum(n_t))
-    count = np.column_stack([n_t[e[:, -1]] - n_t[e[:, 0]] for _, e, _ in rules])
+    count = np.column_stack([n_t[e[:, 1]] - n_t[e[:, 0]] for _, e, *_ in rules])
     h_col = np.array(h_ts)
     own_w, denom, at, fails = [], [], [], []
     for t, v, j, members in zip(grids, tables, scored, sample.grid_groups):
@@ -250,20 +305,13 @@ def _cv_values(
         groups.setdefault(bw.h_y, []).append(idx)
     most = max(len({pairs[i].h_t for i in idxs}) for idxs in groups.values())
     # Columns per block: G, H's argument and their per-time sums, one cell
-    # set's moments, four edge reads per scored time, the window sums, the
-    # numerators and lam hold at most as many values as one H of all the
-    # y-grid's columns.  Four edges are all a window spans on cells of its own
-    # h_t; the widest h_t of a set reads up to 12, and its gather lives only
-    # until its matmul.  Counting those would narrow a ragged sample's blocks
-    # and give back about a third of the saving: on a 30-subject one (default
-    # grid, 1 BLAS thread) CV took 85 ms with this count, 101 ms counting all
-    # 12, and 132 ms with cells of each h_t's own width.
-    reads = 4 * deg
+    # set's moments and their rows at the cell starts, one h_t's two edge
+    # reads per scored time, the window sums, the numerators and lam.
     per_col = 2 * (vals.size + row_t.size) + (deg + 1) * (tau.size + 1)
-    per_col += (most + reads + 1) * interior.size + (most + 2) * jumps.size
-    # above the size rule a block gets half the budget, however many threads run
+    per_col += deg * max(start.size for _, start in sets)
+    per_col += (most + 2 * deg + 1) * interior.size + (most + 2) * jumps.size
     threaded = vals.size * gy >= _THREADED_SIZE
-    step = max(1, vals.size * gy // (per_col * (2 if threaded else 1)))
+    step = _block_width(vals.size * gy, per_col, threaded)
     bounds = np.cumsum([0] + [j.size * v.shape[1] for v, j in zip(tables, scored)])
     offsets = np.cumsum([0] + [v.size for v in tables])
 

@@ -1,13 +1,13 @@
 """Command-line front end: ranks, decompose, summaries, cv, simulate.
 
 A command computes everything first and returns its files, a map from
-file name to text.  ``main`` then writes each of them, figures included,
-into the --out directory by temp file and rename, and writes
-``run_manifest.json``, which echoes all resolved parameters, last.  A
-command that fails writes nothing.  Re-running a command with ``--config
-run_manifest.json`` reproduces the outputs byte-identically: the manifest
-stores the resolved bandwidths, so even a CV-selected run replays without
-re-selection.
+file name to text.  ``main`` then removes the command's own figures that
+this run did not draw from the --out directory, writes each file, figures
+included, by temp file and rename, and writes ``run_manifest.json``, which
+echoes all resolved parameters, last.  A command that fails writes
+nothing.  Re-running a command with ``--config run_manifest.json``
+reproduces the outputs byte-identically: the manifest stores the resolved
+bandwidths, so even a CV-selected run replays without re-selection.
 
 Exit codes: 0 success, 2 usage errors, 1 data, validation or file (OSError) errors.
 """
@@ -410,6 +410,15 @@ def _cmd_simulate(cfg: RunConfig) -> Files:
     return files
 
 
+# Each command's figures: a run removes those it did not draw from --out.
+_FIGURES = {
+    "ranks": {"rank_trajectories.svg"},
+    "decompose": {"components.svg"},
+    "summaries": {"gamma.svg"},
+    "cv": set(),
+    "simulate": {"mise_cv.svg", "mise_opt.svg"},
+}
+
 _COMMANDS = {
     "ranks": _cmd_ranks,
     "decompose": _cmd_decompose,
@@ -473,6 +482,8 @@ def main(argv=None) -> int:
         files["run_manifest.json"] = _json(asdict(cfg))
         out = Path(cfg.out)
         out.mkdir(parents=True, exist_ok=True)
+        for name in _FIGURES[args.command] - files.keys():
+            (out / name).unlink(missing_ok=True)
         for name, parts in files.items():
             _write_atomic(out / name, parts)
         return 0

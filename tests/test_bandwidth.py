@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rankdyn import bandwidth
+from rankdyn._engine import cell_sets
 from rankdyn.bandwidth import BandwidthGrid, cv_objective, select_bandwidths
 from rankdyn.errors import DataError, DomainError, InsufficientDataError
 from rankdyn.kernels import BIWEIGHT, EPANECHNIKOV
@@ -418,6 +419,68 @@ def test_peak_memory_on_a_ragged_grid():
     tracemalloc.start()
     try:
         select_bandwidths(sample, BandwidthGrid.scaled_default(sample))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * one
+
+
+def _counting_cdf(kernel, calls):
+    """``kernel`` with each cdf call recorded: CV evaluates H once per column block."""
+
+    class Counted(type(kernel)):
+        def cdf(self, u, out=None):
+            calls.append(np.shape(u))
+            return super().cdf(u, out)
+
+    return Counted()
+
+
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, BIWEIGHT], ids=lambda k: k.name)
+@pytest.mark.parametrize("ragged", [True, False], ids=["ragged", "shared"])
+def test_values_do_not_depend_on_the_block_width(sim50, kernel, ragged, monkeypatch):
+    # one y-grid column per block against the default blocks, which are wider
+    sample = ragged_sample(30, seed=101) if ragged else sim50.sample
+    grid = BandwidthGrid.scaled_default(sample)
+    calls = []
+    wide = select_bandwidths(sample, grid, _counting_cdf(kernel, calls))
+    assert max(shape[1] for shape in calls) > 1
+    monkeypatch.setattr(bandwidth, "_block_width", lambda *args: 1)
+    narrow = select_bandwidths(sample, grid, kernel)
+    assert narrow.chosen == wide.chosen
+    for a, b in zip(narrow.entries, wide.entries):
+        assert a.bw == b.bw
+        assert a.value == pytest.approx(b.value, rel=1e-13, abs=0.0)
+
+
+def test_a_small_ragged_sample_runs_blocks_wider_than_one_h(monkeypatch):
+    # N x 201 of the 30-subject sample lies below _BLOCK_FLOOR, so the floor,
+    # not one H, sets its blocks: fewer of them per h_y group
+    sample = ragged_sample(30, seed=101)
+    assert sum(t.size for t in sample.times) * 201 < bandwidth._BLOCK_FLOOR
+    grid = BandwidthGrid.scaled_default(sample)
+    groups = len({bw.h_y for bw in grid.pairs})
+    blocks = {}
+    for floor in (0, bandwidth._BLOCK_FLOOR):
+        monkeypatch.setattr(bandwidth, "_BLOCK_FLOOR", floor)
+        calls = []
+        select_bandwidths(sample, grid, _counting_cdf(EPANECHNIKOV, calls))
+        assert len(calls) % groups == 0
+        blocks[floor] = len(calls) // groups
+    assert blocks[bandwidth._BLOCK_FLOOR] < blocks[0]
+
+
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, BIWEIGHT], ids=lambda k: k.name)
+def test_peak_memory_on_a_ragged_grid_with_eight_h_t(kernel):
+    # eight h_t hold eight sets of whole-cell coefficients, two cell sets of
+    # them on narrow cells; the bound is the one of the default grid
+    sample = ragged_sample(60, seed=60)
+    one = sample.n * max(t.size for t in sample.times) * 201 * 8
+    grid = BandwidthGrid.scaled_default(sample, steps=8)
+    assert len(list(cell_sets({bw.h_t for bw in grid.pairs}))) == 2
+    tracemalloc.start()
+    try:
+        select_bandwidths(sample, grid, kernel)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -150,6 +150,31 @@ def test_figures_parse_and_leave_no_temp_file(command, figure, data_csv, tmp_pat
     assert not list(out.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("command, figures, extra", [
+    ("decompose", ["components.svg"], ["--h-y", "0.8", "--h-t", "0.2"]),
+    ("summaries", ["gamma.svg"], ["--h-y", "0.8", "--h-t", "0.2"]),
+    ("ranks", ["rank_trajectories.svg"], ["--method", "empirical"]),
+    ("simulate", ["mise_cv.svg", "mise_opt.svg"], ["--n", "8", "--runs", "1", "--cv-grid", "2x2"]),
+])
+def test_a_run_without_svg_removes_its_own_stale_figures(command, figures, extra, data_csv,
+                                                         tmp_path):
+    out = tmp_path / "o"
+    args = [command, "--out", str(out), *extra]
+    if command != "simulate":
+        args += ["--input", str(data_csv)]
+    assert main(args + ["--svg"]) == 0
+    assert all((out / name).exists() for name in figures)
+    # another command's figure and a file of the user's are left alone
+    others = {"gamma.svg" if command != "summaries" else "components.svg": "<svg/>",
+              "notes.txt": "keep"}
+    for name, text in others.items():
+        (out / name).write_text(text)
+    assert main(args) == 0
+    assert not any((out / name).exists() for name in figures)
+    assert json.loads((out / "run_manifest.json").read_text())["svg"] is False
+    assert {name: (out / name).read_text() for name in others} == others
+
+
 def test_trim_from_config_number_matches_flag(data_csv, tmp_path):
     out = tmp_path / "o"
     args = ["summaries", "--input", str(data_csv), "--h-y", "0.8", "--h-t", "0.2", "--out", str(out)]

@@ -193,3 +193,28 @@ def test_window_excludes_far_observations(tiny_sample):
     ref = naive_qbars(tiny_sample.times, tiny_sample.values, 0.5, 0.15, 0.5, 0.5)
     assert q1[0, 0] == pytest.approx(ref[0], abs=1e-14)
     assert q2[0] == pytest.approx(ref[1], abs=1e-14)
+
+
+def test_cell_starts_are_bounded_by_the_points_not_the_spread():
+    # one point 1e12 widths above the rest: the run of empty cells between
+    # counts as a few rows of the start table, and every band of the reach
+    # still finds each of its cells' starts there
+    rng = np.random.default_rng(2)
+    x = np.sort(np.append(rng.normal(0.0, 1.0, 60), 1e11))
+    width, reach = 0.1, 0.5
+    cl = _engine.cells(x, width, 3, reach)
+    span = int(2 * reach / width) + 2
+    assert cl.start.size <= x.size * (span + 1) + 1
+    assert cl.start[-1] == x.size
+    for k in range(1, span + 1):
+        want = np.searchsorted(cl.cell, cl.cell + k)
+        assert np.array_equal(np.take(cl.start, cl.key + k, mode="clip"), want)
+
+
+@pytest.mark.parametrize("kern", [EPANECHNIKOV, BIWEIGHT], ids=lambda k: k.name)
+def test_engine_matches_oracle_with_a_far_outlier(kern):
+    # the outlier sits 1e9 narrowest widths above the bulk, queried in the bulk
+    times, values = _ragged(1e8)
+    pairs = [(0.1, 0.2), (0.3, 0.35), (0.5, 0.2)]
+    yq = np.concatenate([np.concatenate(values[1:]), [1e8 - 1.0]])
+    assert _oracle_gap(times, values, kern, pairs, [0.72, 0.3, 0.5], yq) < 1e-10
