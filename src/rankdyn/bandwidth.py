@@ -21,7 +21,9 @@ barely change the estimator and defeat the validation.  One code path
 serves shared and ragged grids alike.  With G_k = w_k H((y - y_k)/h_y) on
 the y-grid and w_k = 1/m_i, subject i's leave-out cdf at a scored time s is
 f = (S - S_i) / (W - W_i): S = sum_k K((s - t_k)/h_t) G_k over all
-observations, S_i over i's own, and W, W_i the same sums of w_k.  H is
+observations, S_i over i's own, and W, W_i the same sums of w_k.  The top
+y-grid column lies h_y above every value, where H = 1, so S - S_i there is
+W - W_i: the leave-out masses are the numerators of that column.  H is
 evaluated once per h_y; time weights, window edges and coefficients once
 per h_t.  The subjects sharing an observation grid (``grid_groups``) form
 a row-major (time x member) table; the observations are the tables one
@@ -38,12 +40,13 @@ matrix over the cell starts held in row chunks (``_cell_matrix``), so a
 block's window sums are a matmul per chunk against the moments at the cell
 starts plus two edge reads per window.  S_i is direct: a grid's own windows hold few
 points, so one matmul per grid, its time weights against its block of G,
-gives every member's own sums.  W and W_i take the same two routes.  A
-leave-out window left empty is found by counting, so rounding in the
-prefix moments cannot hide it.
+gives every member's own sums.  A leave-out window left empty is found by
+counting, so rounding in the prefix moments cannot hide it.
 
-Given the masses, the score adds up over y-grid columns, so the columns
-are taken in blocks.  A block's buffers, the two edge reads per window
+The score adds up over y-grid columns, so the columns are taken in
+blocks, from the top down: the first block, full width, holds the top
+column and so the masses every block divides by, and the remainder block
+is the bottom one.  A block's buffers, the two edge reads per window
 included, stay within one (N, 201) H, N the number of observations, or
 within _BLOCK_FLOOR = 2^18 floats (2 MB) when that is more.  A chunk of
 the whole-cell matrix is at most one cell wider than a window, so an h_t's
@@ -278,19 +281,17 @@ def _cv_values(
                     out[q] += (edge @ mom[ends].reshape(interior.size, -1, b))[:, 0]
         return out
 
-    w_t, n_t = per_time(np.column_stack([wts, np.ones(vals.size)])).T  # mass and count per time
-    mass = window_sums(w_t[:, None], range(len(h_ts)))[:, :, 0].T
-    n_t = np.append(0.0, np.cumsum(n_t))
+    # observations before each time, counted exactly
+    n_t = np.append(0.0, np.cumsum(per_time(np.ones((vals.size, 1)))))
     count = np.column_stack([n_t[e[:, 1]] - n_t[e[:, 0]] for _, e, *_ in rules])
     h_col = np.array(h_ts)
-    own_w, denom, at, fails = [], [], [], []
+    own_w, at, fails = [], [], []
     for t, v, j, members in zip(grids, tables, scored, sample.grid_groups):
         ts = t[j, None]
         own_w.append(kernel.density((ts - t) / h_col[:, None, None]))  # (h_t, scored rows, m)
         k = np.searchsorted(interior, t[j])
         own = np.searchsorted(t, ts + h_col) - np.searchsorted(t, ts - h_col, side="right")
         fails += [(k[r], lead[c], members[0]) for r, c in zip(*np.nonzero(count[k] == own))]
-        denom.append(np.repeat(mass[k] - own_w[-1].sum(axis=2).T / t.size, v.shape[1], axis=0))
         at.append(np.repeat(k, v.shape[1]))
     if fails:
         k, p, i = min(fails)  # the earliest time, then the first pair, then the first subject
@@ -298,7 +299,7 @@ def _cv_values(
             f"no observations within h_t={pairs[p].h_t!r} of t={float(interior[k])!r} "
             f"after leaving out subject {sample.ids[i]!r}"
         )
-    inv, at = 1.0 / np.concatenate(denom), np.concatenate(at)  # by scored observation
+    at = np.concatenate(at)  # by scored observation
 
     groups: dict[float, list[int]] = {}
     for idx, bw in enumerate(pairs):
@@ -333,10 +334,10 @@ def _cv_values(
         split = ((cell - 1, d * (1.0 - frac)), (cell, dy[cell] + d * (1.0 + frac)))
         use = sorted({col[pairs[i].h_t] for i in idxs})
         own_a = own_w if len(use) == len(h_ts) else [a[use] for a in own_w]  # no copy on a full grid
-        inv_u = inv[:, use].T
         score = np.zeros(len(use))
-        for c0 in range(0, gy, step):
-            b = min(step, gy - c0)
+        for c1 in range(gy, 0, -step):  # top down: the first block holds the masses
+            c0 = max(0, c1 - step)
+            b = c1 - c0
             g = (ygrid[c0 : c0 + b] - vals[:, None]) / h_y
             g = kernel.cdf(g, out=np.empty_like(g))
             g *= wts[:, None]
@@ -348,6 +349,8 @@ def _cv_values(
                 np.matmul(a, g[o : o + v.size].reshape(v.shape[0], -1), out=out)
             for q in range(len(use)):
                 np.subtract(full[q, at], num[q], out=num[q])
+            if c1 == gy:  # H = 1 at the top column, so its numerators are the leave-out masses
+                inv_u = 1.0 / num[:, :, -1]
             lam = np.where(np.arange(c0, c0 + b) > cell[:, None], 2.0 * tw[c0 : c0 + b], 0.0)
             for pos, val in split:
                 hit = np.flatnonzero((pos >= c0) & (pos < c0 + b))

@@ -451,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--n", help="comma list of sample sizes (simulate)")
     common.add_argument("--m", type=int, help="observation grid parameter (simulate)")
     common.add_argument("--svg", action="store_true", default=None, help="emit SVG figures")
-    common.add_argument("--threads", type=int, help="worker cap for parallel sections")
+    common.add_argument("--threads", type=int, help="most Monte Carlo worker processes (simulate)")
     common.add_argument("--config", help="JSON config file (flags override it)")
     parser = argparse.ArgumentParser(
         prog="rankdyn",

@@ -1,10 +1,10 @@
 """Densely observed functional samples: ingestion, validation, presmoothing.
 
 A sample is a collection of subjects, each observed on its own dense time
-grid inside [0, 1].  Grids must be dense-regular: either every point falls
-in its own bin ((j-1)/m, j/m], or (permissive rule, needed for grids of the
-form {j/m : j = 0..m} that include t = 0) no gap between consecutive
-points, or between the domain edges and the extreme points, exceeds 2/m.
+grid inside [0, 1].  Grids must be dense-regular: with m points, no gap
+between consecutive points, or between an end of [0, 1] and the nearest
+point, exceeds 2/m.  A grid with a point in each bin ((j-1)/m, j/m] meets
+the rule, as its gaps are at most 2/m, and so does {j/m : j = 0..m}.
 
 Ingestion works on columns, a batch of records at a time.  Both loaders
 parse each batch's columns with Python's ``float`` into arrays and drop its
@@ -71,18 +71,13 @@ def _validate_grid(t: np.ndarray, subject: str) -> None:
         raise DuplicateTimeError(f"subject {subject!r} has duplicate observation times")
     if np.any(d < 0.0):
         raise DataError(f"subject {subject!r} has unsorted observation times")
-    # dense-regular: per-bin placement, or the permissive max-gap rule
-    j = np.arange(1, m + 1)
-    in_bins = t[0] <= 1.0 / m + _GRID_TOL and np.all(t[1:] > (j[1:] - 1) / m - _GRID_TOL) and np.all(
-        t <= j / m + _GRID_TOL
-    )
-    if not in_bins:
-        gaps = np.concatenate(([t[0]], d, [1.0 - t[-1]]))
-        if gaps.max() > 2.0 / m + _GRID_TOL:
-            raise DomainError(
-                f"subject {subject!r}: grid is not dense-regular "
-                f"(largest gap {gaps.max():.4g} > 2/m = {2.0 / m:.4g})"
-            )
+    # dense-regular: no gap, the domain's ends included, above 2/m
+    gaps = np.concatenate(([t[0]], d, [1.0 - t[-1]]))
+    if gaps.max() > 2.0 / m + _GRID_TOL:
+        raise DomainError(
+            f"subject {subject!r}: grid is not dense-regular "
+            f"(largest gap {gaps.max():.4g} > 2/m = {2.0 / m:.4g})"
+        )
 
 
 @dataclass

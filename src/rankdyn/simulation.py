@@ -173,28 +173,33 @@ def model_pooled_std(model: SimModel) -> float:
 def mise(
     estimates: DecompositionResult, model: SimModel, xi: np.ndarray, h_max: float
 ) -> tuple[float, float]:
-    """Mean integrated squared errors of (C1, C2) over [h_max, 1 - h_max]."""
-    keep = _mise_window(estimates.trimmed_grid, h_max)
-    _, c1_true, c2_true = true_values(model, xi, estimates.trimmed_grid[keep])
-    return _mise(estimates, keep, c1_true, c2_true)
+    """Mean integrated squared errors of (C1, C2) over [h_max, 1 - h_max].
 
-
-def _mise_window(grid: np.ndarray, h_max: float) -> np.ndarray:
-    """The points of a trimmed grid inside [h_max, 1 - h_max]; the grid must cover it."""
+    The decomposition grid must cover that window, and hold two points in it.
+    """
+    grid = estimates.trimmed_grid
     # the grid covers [h_max, 1 - h_max] when h_max is inside its own ends' window
     if _inside(h_max, max(grid[0], 1.0 - grid[-1])).size == 0:
         raise GridMismatchError(
             f"decomposition grid [{grid[0]}, {grid[-1]}] does not cover "
             f"[{h_max}, {1 - h_max}]"
         )
-    return _inside(grid, h_max)
+    keep = _inside(grid, h_max)
+    window = DecompositionResult(
+        estimates.ids, grid[keep], estimates.c1[:, keep], estimates.c2[:, keep],
+        estimates.rprime[:, keep],
+    )
+    _, c1_true, c2_true = true_values(model, xi, window.trimmed_grid)
+    return _mise(window, c1_true, c2_true)
 
 
-def _mise(estimates: DecompositionResult, keep, c1_true, c2_true) -> tuple[float, float]:
-    """``mise`` given the window ``keep`` and the true components on it."""
-    sub = estimates.trimmed_grid[keep]
-    m1 = np.trapezoid((estimates.c1[:, keep] - c1_true) ** 2, sub, axis=1).mean()
-    m2 = np.trapezoid((estimates.c2[:, keep] - c2_true) ** 2, sub, axis=1).mean()
+def _mise(estimates: DecompositionResult, c1_true, c2_true) -> tuple[float, float]:
+    """``mise`` over the whole trimmed grid, given the true components on it.
+
+    ``integrate`` refuses a grid of fewer than two points.
+    """
+    m1 = estimates.integrate((estimates.c1 - c1_true) ** 2).mean()
+    m2 = estimates.integrate((estimates.c2 - c2_true) ** 2).mean()
     return float(m1), float(m2)
 
 
@@ -260,18 +265,15 @@ def _run_one(
         sim.sample, smoothed, grid.pairs, trim=h_max, kernel=kernel
     )
     # every decomposition has the same h_max-trimmed grid: one truth serves all
-    keep = _mise_window(decomps[0].trimmed_grid, h_max)
-    _, c1_true, c2_true = true_values(model, sim.xi, decomps[0].trimmed_grid[keep])
-    mises = [_mise(d, keep, c1_true, c2_true) for d in decomps]
+    _, c1_true, c2_true = true_values(model, sim.xi, decomps[0].trimmed_grid)
+    mises = [_mise(d, c1_true, c2_true) for d in decomps]
     keyed = [
         (m1 + m2, bw.h_t, bw.h_y, idx)
         for idx, ((m1, m2), bw) in enumerate(zip(mises, grid.pairs))
     ]
     opt_idx = min(keyed)[3]
     report = select_bandwidths(sim.sample, grid, kernel=kernel)
-    cv_idx = next(
-        i for i, bw in enumerate(grid.pairs) if bw == report.chosen
-    )
+    cv_idx = grid.pairs.index(report.chosen)
 
     # rank summary statistics at the CV pick, on the raw observation grid
     obs = sim.sample.shared_grid
@@ -320,7 +322,9 @@ def run_monte_carlo(
     or parallel) reproduce the report byte-identically.  The oracle pick
     minimizes the summed MISE of the two components over the grid; both
     picks' MISEs plus the squared errors of the rank summary statistics at
-    the CV pick are recorded per run.  With workers > 1, a pool of
+    the CV pick are recorded per run.  The MISEs integrate over the points
+    of the evaluation grid inside [h_max, 1 - h_max], which need not include
+    h_max itself; fewer than two such points raise DegenerateSampleError.  With workers > 1, a pool of
     min(workers, tasks) processes runs the (n, run) tasks.
     """
     if runs < 1:

@@ -277,6 +277,15 @@ class TestSimulateCommand:
         _, rows = _read_csv(out / "report.csv")
         assert len(rows) == 1
 
+    def test_an_evaluation_grid_without_h_max_as_a_point_runs(self, tmp_path):
+        # 40 points j/39: the default grid's h_max = 0.3 is not one of them, so
+        # the MISEs integrate over the trimmed grid [12/39, 27/39]
+        out = tmp_path / "e"
+        assert main(["simulate", "--n", "8", "--runs", "1", "--eval-points", "40",
+                     "--out", str(out)]) == 0
+        _, rows = _read_csv(out / "report.csv")
+        assert len(rows) == 1 and all(np.isfinite(float(v)) for v in rows[0])
+
 
 ODD_IDS = ["a,b", 'q"x', "plain", "p2", "p3", "p4"]
 

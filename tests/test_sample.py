@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rankdyn.errors import (
     CsvFormatError,
@@ -263,10 +265,37 @@ def test_load_wide_matches_long():
 
 class TestGridValidation:
     def test_simulation_style_grid_accepted(self):
-        # {j/m : j=0..m} includes t=0; passes via the permissive gap rule
+        # {j/m : j=0..m} includes t=0 and has no point in its first bin (0, 1/(m+1)]
         m = 31
         grid = np.arange(m + 1) / m
         FunctionalSample.from_matrix(grid, np.ones((1, m + 2 - 1)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_per_bin_grid_is_dense_regular(self, data):
+        # a point in each bin ((j-1)/m, j/m] leaves no gap above 2/m
+        m = data.draw(st.integers(1, 60))
+        u = data.draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=m, max_size=m))
+        grid = (np.arange(m) + np.array(u)) / m
+        assume(np.all(np.diff(grid) > 0))
+        FunctionalSample(["a"], [grid], [np.zeros(m)])
+
+    @settings(deadline=None)
+    @given(st.integers(1, 500))
+    def test_every_closed_uniform_grid_is_dense_regular(self, m):
+        FunctionalSample.from_matrix(np.arange(m + 1) / m, np.zeros((1, m + 1)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 400), st.data())
+    def test_a_gap_just_above_two_over_m_is_rejected(self, m, data):
+        # one gap of 2/m + 1e-6, an end of [0, 1] included; the other m share the rest
+        at = data.draw(st.integers(0, m))
+        big = 2.0 / m + 1e-6
+        gaps = np.full(m + 1, (1.0 - big) / m)
+        gaps[at] = big
+        grid = np.cumsum(gaps)[:m]
+        with pytest.raises(DomainError, match="dense-regular"):
+            FunctionalSample(["a"], [grid], [np.zeros(m)])
 
     def test_sparse_grid_rejected(self):
         with pytest.raises(DomainError, match="dense-regular"):

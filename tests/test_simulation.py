@@ -5,7 +5,7 @@ from scipy.stats import kstest
 from rankdyn import simulation
 from rankdyn.bandwidth import BandwidthGrid
 from rankdyn.dynamics import DecompositionResult, decompose_many
-from rankdyn.errors import DomainError, GridMismatchError
+from rankdyn.errors import DegenerateSampleError, DomainError, GridMismatchError
 from rankdyn.ranks import Bandwidths
 from rankdyn.sample import presmooth
 from rankdyn.simulation import (
@@ -241,6 +241,31 @@ class TestMonteCarlo:
         by_pair = {bw: mise(d, model, sim.xi, grid.h_max) for bw, d in zip(grid.pairs, decomps)}
         assert (row.mise_c1_cv, row.mise_c2_cv) == by_pair[Bandwidths(row.h_y_cv, row.h_t_cv)]
         assert (row.mise_c1_opt, row.mise_c2_opt) == by_pair[Bandwidths(row.h_y_opt, row.h_t_opt)]
+
+    def test_mise_integrates_over_the_decomposition_grid(self, model):
+        # h_max = 0.25 is no point of the 40-point grid {j/39}: the MISEs are
+        # trapezoid sums over the 20 points inside [0.25, 0.75]
+        bw = Bandwidths(1.2, 0.25)
+        (row,) = run_monte_carlo(model, [8], runs=1, grid=BandwidthGrid([bw]), eval_points=40).rows
+        assert all(np.isfinite(v) for v in vars(row).values())
+        sim = generate_sample(model, 8, seed=0)
+        full = np.linspace(0.0, 1.0, 40)
+        grid = full[(full >= 0.25) & (full <= 0.75)]
+        assert grid.size == 20 and grid[0] > 0.25
+        dec = decompose_many(sim.sample, presmooth(sim.sample, h_d=0.1, eval_grid_size=40), [bw])[0]
+        np.testing.assert_array_equal(dec.trimmed_grid, grid)
+        _, c1, c2 = true_values(model, sim.xi, grid)
+        m1 = np.trapezoid((dec.c1 - c1) ** 2, grid, axis=1).mean()
+        m2 = np.trapezoid((dec.c2 - c2) ** 2, grid, axis=1).mean()
+        assert (row.mise_c1_cv, row.mise_c2_cv) == (row.mise_c1_opt, row.mise_c2_opt)
+        assert row.mise_c1_cv == pytest.approx(m1, rel=1e-12)
+        assert row.mise_c2_cv == pytest.approx(m2, rel=1e-12)
+
+    def test_a_one_point_decomposition_grid_is_refused(self, model):
+        # {0, 0.5, 1} trimmed by 0.25 leaves 0.5 alone: no integral, no row of zeros
+        grid = BandwidthGrid([Bandwidths(1.2, 0.25)])
+        with pytest.raises(DegenerateSampleError, match="fewer than two evaluation points"):
+            run_monte_carlo(model, [8], runs=1, grid=grid, eval_points=3)
 
     def test_report_helpers(self, model):
         grid = BandwidthGrid([Bandwidths(1.0, 0.25)])
