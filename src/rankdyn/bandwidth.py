@@ -47,14 +47,34 @@ The score adds up over y-grid columns, so the columns are taken in
 blocks, from the top down: the first block, full width, holds the top
 column and so the masses every block divides by, and the remainder block
 is the bottom one.  A block's buffers, the two edge reads per window
-included, stay within one (N, 201) H, N the number of observations, or
-within _BLOCK_FLOOR = 2^18 floats (2 MB) when that is more.  A chunk of
-the whole-cell matrix is at most one cell wider than a window, so an h_t's
+included, stay within one (N, 201) H, N the number of observations, but
+within no less than _BLOCK_FLOOR = 2^18 floats (2 MB) and no more than
+_BLOCK_CEILING = 2^20 floats (8 MB).  The bulk of a block is never held
+twice: H, the numerators and the score's two sums per scored value are
+one buffer each, which every block of an h_y group reuses, and H's
+argument is released as soon as H is evaluated.  Fresh arrays for every
+block instead took 12.9k minor page faults a call at n = 200 against
+6.8k, and 8-10% more time, as the allocator gave their pages back at
+every block; on 5000 subjects of 32 times, whose blocks hold one column,
+831k against 12.6k, and 4.2 against 3.1 s.  Releasing a block's window
+sums and lam before the next block's did the same on the 30-subject
+ragged sample after a ``summaries`` run (10.6k faults against 4.4k, 58
+against 53 ms), so they go when the next block's replace them.  A block
+holds at least one column, about 7 floats per observation on the default
+grid, so CV's memory grows with N, not with N x 201: on 5000 subjects of
+32 times its traced peak is 33 MB, where one H is 257 MB.  A chunk of the
+whole-cell matrix is at most one cell wider than a window, so an h_t's
 matrix holds no more than a gather of its windows' edges would for one
-column.  The floor lets a small sample run fewer, wider blocks: 18 columns
-a block instead of 13 on a 30-subject ragged sample (N x 201 = 193k).  It
-left the peak resident memory of that sample's ``cv`` and ``summaries``
-runs flat, where 2^19 floats added 4% and 2^20 added 10%.
+column.  The floor lets a small sample run fewer, wider blocks: 18
+columns a block instead of 13 on a 30-subject ragged sample (N x 201 =
+193k).  It left the peak resident memory of that sample's ``cv`` and
+``summaries`` runs flat, where 2^19 floats added 4% and 2^20 added 10%.
+The ceiling is the fastest budget measured (median over 5 processes of
+the best CPU time of 9 calls; one-H blocks -> 2^20 -> 2^19 floats): 128
+-> 117 -> 129 ms on the verification model at n = 200, tracing 10.7 ->
+8.6 -> 4.7 MB, and 192 -> 171 -> 225 ms on 300 subjects of 32 times,
+tracing 15.9 -> 8.9 -> 5.3 MB.  On the 5000 subjects, one-H blocks took
+3.4-3.9 s of CPU time a call against 3.0-3.1 s (one thread).
 
 The h_y groups write nothing they share: each has its own y-grid, H,
 window sums, own sums and score, and fills its own pairs' values.  Once
@@ -62,8 +82,8 @@ N x 201 reaches 2^20 (``_THREADED_SIZE``), and there are two groups and two
 CPUs this process may run on, a worker thread scores every other group
 beside the calling thread, as numpy releases the interpreter lock in a
 block's large kernels.  (Two workers instead left a second allocator arena
-holding about 3 MB after the call.)  Each block then gets half the one-H
-budget, even on one CPU: two blocks in flight stay within one H, and the
+holding about 3 MB after the call.)  Each block then gets half the budget
+above, even on one CPU: two blocks in flight stay within it, and the
 blocks, and so the values, are bitwise the same whatever the number of
 CPUs.  Above the rule, threads won on every input measured (2 CPUs, 1 BLAS
 thread, default grid); below it, they lose on the smallest.  On the
@@ -73,13 +93,18 @@ verification model they took CV at n = 20 from 13 to 22 ms, were even to
 per subject, 25 to 40 times each; best of 5, threads off -> on) they took
 30 subjects from 80 to 103 ms, and won from 80 subjects up: 244 -> 225 ms
 at 80, 451 -> 378 ms at 160 (just below the rule), 757 -> 525 ms at 240,
-and 1451 -> 924 ms on 100 subjects of 120 to 162 times each.
+and 1451 -> 924 ms on 100 subjects of 120 to 162 times each.  Under the
+ceiling they still pay whenever the second CPU is free (best wall time of
+9 calls in each of 4 processes a side, threads off -> on, with the CPUs'
+worth of time the calls got): 94-120 -> 51-65 ms at n = 200 (1.7-1.8
+CPUs), but 131 ms when the other CPU was busy (1.0); 131-185 -> 76-106 ms
+on 300 subjects (1.6-1.8); 4.2-4.4 -> 2.3-2.4 s on 5000 subjects of 32
+times (1.9).
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,8 +126,9 @@ __all__ = [
 _Y_GRID_SIZE = 201
 # N x 201 from which CV scores its h_y groups on two threads (module notes)
 _THREADED_SIZE = 2**20
-# the least a column block's buffers may hold, in floats (2 MB; module notes)
+# the least and the most a column block's buffers may hold, in floats (2 and 8 MB; module notes)
 _BLOCK_FLOOR = 2**18
+_BLOCK_CEILING = 2**20
 
 
 def _cpus() -> int:
@@ -114,9 +140,10 @@ def _cpus() -> int:
 
 def _block_width(one_h: int, per_col: int, threaded: bool) -> int:
     """y-grid columns per block: buffers of ``per_col`` floats a column within
-    one H of ``one_h`` floats or _BLOCK_FLOOR, whichever is more; half that
-    when threaded, however many threads run."""
-    return max(1, max(one_h, _BLOCK_FLOOR) // (per_col * (2 if threaded else 1)))
+    one H of ``one_h`` floats, put between _BLOCK_FLOOR and _BLOCK_CEILING;
+    half that when threaded, however many threads run; at least one column."""
+    budget = min(max(one_h, _BLOCK_FLOOR), _BLOCK_CEILING)
+    return max(1, budget // (per_col * (2 if threaded else 1)))
 
 
 def _cell_matrix(key, hi, first, w):
@@ -335,15 +362,20 @@ def _cv_values(
         use = sorted({col[pairs[i].h_t] for i in idxs})
         own_a = own_w if len(use) == len(h_ts) else [a[use] for a in own_w]  # no copy on a full grid
         score = np.zeros(len(use))
+        # H, the numerators and the score's two per-value sums: one buffer each, for every block
+        g_buf = np.empty(vals.size * step)
+        num_buf = np.empty(len(use) * jumps.size * step)
+        lin, quad = np.empty((2, len(use), jumps.size))
         for c1 in range(gy, 0, -step):  # top down: the first block holds the masses
             c0 = max(0, c1 - step)
             b = c1 - c0
-            g = (ygrid[c0 : c0 + b] - vals[:, None]) / h_y
-            g = kernel.cdf(g, out=np.empty_like(g))
+            arg = (ygrid[c0 : c0 + b] - vals[:, None]) / h_y
+            g = kernel.cdf(arg, out=g_buf[: vals.size * b].reshape(vals.size, b))
+            del arg
             g *= wts[:, None]
             full = window_sums(per_time(g), use)  # (h_t, time, column)
             # own sums, one matmul per grid, turned into leave-out numerators
-            num = np.empty((len(use), jumps.size, b))
+            num = num_buf[: len(use) * jumps.size * b].reshape(len(use), jumps.size, b)
             for v, j, a, s, e, o in zip(tables, scored, own_a, bounds, bounds[1:], offsets):
                 out = num[:, s:e].reshape(len(use), j.size, v.shape[1] * b)
                 np.matmul(a, g[o : o + v.size].reshape(v.shape[0], -1), out=out)
@@ -355,9 +387,13 @@ def _cv_values(
             for pos, val in split:
                 hit = np.flatnonzero((pos >= c0) & (pos < c0 + b))
                 lam[hit, pos[hit] - c0] = val[hit]
-            lin = np.einsum("prb,rb->pr", num, lam)
+            np.einsum("prb,rb->pr", num, lam, out=lin)
             np.square(num, out=num)
-            score += (((num @ tw[c0 : c0 + b]) * inv_u - lin) * inv_u).sum(axis=1)
+            np.matmul(num, tw[c0 : c0 + b], out=quad)
+            quad *= inv_u
+            quad -= lin
+            quad *= inv_u
+            score += quad.sum(axis=1)
         offset = float(np.sum(ygrid[-1] - jumps))
         for idx in idxs:
             totals[idx] = float(score[use.index(col[pairs[idx].h_t])]) + offset
@@ -368,7 +404,9 @@ def _cv_values(
 
     items = list(groups.items())
     if threaded and min(len(items), _cpus()) > 1:
-        with ThreadPoolExecutor(max_workers=1) as pool:
+        import concurrent.futures  # loads logging, which only this branch needs
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
             rest = pool.submit(score_all, items[1::2])
             try:
                 score_all(items[::2])

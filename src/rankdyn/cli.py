@@ -69,7 +69,10 @@ def _csv_field(text: str) -> str:
 def _fmt_column(x) -> Callable[[np.ndarray], list[str]]:
     """The elements of ``x`` as a column of CSV fields: repr of each as a Python float.
 
-    The string of each distinct float64 bit pattern is formatted once and
+    A column whose distinct float64 bit patterns are most of its elements,
+    such as C1, C2 and R', is formatted a call at a time, the rows asked for
+    and no others, so it holds no string beyond one batch of rows.
+    Otherwise the string of each distinct pattern is formatted once and
     shared by every element that holds it; rank columns repeat a few
     thousand values across hundreds of thousands of fields.  A call looks
     up only the rows asked for: their own distinct patterns, sorted, are
@@ -81,6 +84,9 @@ def _fmt_column(x) -> Callable[[np.ndarray], list[str]]:
     keys = np.sort(bits)
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    if 2 * np.count_nonzero(first) > keys.size:
+        values = bits.view(np.float64)
+        return lambda rows: list(map(repr, values[rows].tolist()))
     keys = keys[first]
     text = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
 
@@ -372,6 +378,8 @@ def _cmd_simulate(cfg: RunConfig) -> Files:
         raise UsageError(f"--n must be a comma list of integers, got {cfg.n!r}")
     if not n_list:
         raise UsageError("--n must name at least one sample size")
+    if cfg.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {cfg.threads!r}")
     model = SimModel(m=int(cfg.m))
     report = run_monte_carlo(
         model,

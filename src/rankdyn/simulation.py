@@ -13,7 +13,6 @@ reproducible per-run report.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -339,7 +338,10 @@ def run_monte_carlo(
     tasks = [(int(n), run, base_seed + run) for run in range(runs) for n in n_list]
     workers = min(workers, len(tasks))
     if workers > 1:
-        # looked up here: the process pool module loads multiprocessing, which only this branch uses
+        # imported here: concurrent.futures loads logging and its process pool multiprocessing,
+        # which only this branch uses
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(one, *zip(*tasks)))
     else:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import sys
 import tracemalloc
 
@@ -11,7 +12,7 @@ from rankdyn.errors import DataError, DomainError, InsufficientDataError
 from rankdyn.kernels import BIWEIGHT, EPANECHNIKOV
 from rankdyn.ranks import Bandwidths
 from rankdyn.sample import FunctionalSample
-from rankdyn.simulation import SimModel, basis_matrix
+from rankdyn.simulation import SimModel, basis_matrix, generate_sample
 from reference import epan_h, grid_cv_objective, naive_cv_objective, trapezoid
 
 
@@ -359,12 +360,12 @@ def test_threaded_values_do_not_depend_on_the_core_count(sim200, kernel, steps, 
     grid = BandwidthGrid.geometric(steps=steps)
     pools = []
 
-    class RecordedPool(bandwidth.ThreadPoolExecutor):
+    class RecordedPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(bandwidth, "ThreadPoolExecutor", RecordedPool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordedPool)
     values = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -395,6 +396,24 @@ def test_memory_grows_linearly_in_subjects():
         finally:
             tracemalloc.stop()
     assert peaks[1] / peaks[0] <= 5.0
+
+
+def test_memory_above_the_ceiling_grows_by_few_floats_per_observation(model):
+    # both samples' one H lies above _BLOCK_CEILING, so their column blocks
+    # hold about the same; what grows with N is per observation, not per
+    # y-grid column (about 200 floats an observation when a block held one H)
+    peaks, sizes = [], []
+    for n in (200, 600):
+        sample = generate_sample(model, n, seed=n).sample
+        sizes.append(sum(t.size for t in sample.times))
+        assert sizes[-1] * 201 > bandwidth._BLOCK_CEILING
+        tracemalloc.start()
+        try:
+            select_bandwidths(sample, BandwidthGrid.geometric())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 50 * 8 * (sizes[1] - sizes[0])
 
 
 def test_peak_memory_is_two_kernel_cdf_buffers(sim200):

@@ -277,6 +277,21 @@ class TestSimulateCommand:
         _, rows = _read_csv(out / "report.csv")
         assert len(rows) == 1
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_fewer_than_one_worker_is_usage_error(self, threads, source, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["simulate", "--n", "8", "--runs", "1", "--out", str(out)]
+        if source == "flag":
+            args += ["--threads", str(threads)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"threads": threads}))
+            args += ["--config", str(cfg)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"usage error: --threads must be at least 1, got {threads}\n"
+        assert not out.exists()
+
     def test_an_evaluation_grid_without_h_max_as_a_point_runs(self, tmp_path):
         # 40 points j/39: the default grid's h_max = 0.3 is not one of them, so
         # the MISEs integrate over the trimmed grid [12/39, 27/39]
@@ -366,6 +381,25 @@ class TestWriterMatchesRowByRowOracle:
         self._check(tmp_path / "decomposition.csv", naive_decomposition_csv(dec))
         c1_fields = [row[2] for row in _read_csv(tmp_path / "decomposition.csv")[1][3:6]]
         assert c1_fields == ["-0.0", "0.3333333333333333", "0.0"]
+
+    def test_distinct_columns_are_formatted_a_batch_at_a_time(self):
+        # each C1, C2 and R' value is distinct, so no string outlives its
+        # batch of rows: the traced peak does not grow with the table
+        rng = np.random.default_rng(6)
+        peaks, values = [], []
+        for n in (200, 800):
+            c1, c2 = rng.standard_normal((2, n, 87))
+            dec = DecompositionResult([f"s{i:05d}" for i in range(n)], np.linspace(0.1, 0.9, 87),
+                                      c1, c2, c1 + c2)
+            tracemalloc.start()
+            try:
+                for _ in cli._decomposition_csv(dec):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            values.append(3 * c1.size)
+        assert peaks[1] - peaks[0] <= 32 * (values[1] - values[0])
 
     def test_tables_longer_than_one_write(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -590,11 +624,12 @@ class TestExitCodes:
 def test_importing_the_cli_loads_no_scipy():
     # only the simulation's closed-form truths use scipy, and importing it
     # would double the start-up time of every command; multiprocessing is
-    # only for the simulation's process pool
+    # only for the simulation's process pool, and concurrent.futures, which
+    # loads logging, only for that pool and CV's worker thread
     src = str(Path(rankdyn.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, rankdyn.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')))")
+    code = ("import sys, rankdyn.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'multiprocessing', 'concurrent', 'logging')))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     assert done.stdout.strip() == "[]"

@@ -15,7 +15,7 @@ from rankdyn.cli import _fmt_column
 from rankdyn.dynamics import DecompositionResult, contributions
 from rankdyn.errors import DataError
 from rankdyn.ranks import Bandwidths, empirical_ranks, smooth_ranks
-from rankdyn.sample import FunctionalSample, load_long_csv
+from rankdyn.sample import FunctionalSample, load_long_csv, presmooth
 from rankdyn.summaries import population_summaries
 from reference import naive_load_long_csv
 
@@ -114,14 +114,46 @@ def test_smooth_ranks_equivariant_under_increasing_affine_maps(values, a, b):
 SIGNED = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0 / 3.0])
 
 
-@settings(max_examples=200, deadline=None)
-@given(hnp.arrays(np.float64, st.integers(0, 40),
-                  elements=st.one_of(SIGNED, st.floats(allow_nan=True, allow_infinity=True))))
-def test_fmt_column_is_the_repr_of_each_element(x):
-    fields = _fmt_column(x)(np.arange(x.size))
+FLOATS = hnp.arrays(np.float64, st.integers(0, 40),
+                    elements=st.one_of(SIGNED, st.floats(allow_nan=True, allow_infinity=True)))
+
+
+@st.composite
+def float_columns(draw):
+    """Columns of mostly distinct floats, or of a few floats repeated (as rank columns are)."""
+    pool = draw(FLOATS)
+    if pool.size == 0 or draw(st.booleans()):
+        return pool
+    picks = draw(hnp.arrays(np.intp, st.integers(0, 120),
+                            elements=st.integers(0, min(pool.size, 4) - 1)))
+    return pool[picks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_columns(), st.data())
+def test_fmt_column_is_the_repr_of_each_element(x, data):
+    column = _fmt_column(x)
+    if x.size:  # any rows, in any order and repeated, as a batch may ask for
+        rows = data.draw(hnp.arrays(np.intp, st.integers(0, 20), elements=st.integers(0, x.size - 1)))
+        assert column(rows) == [repr(v) for v in x[rows].tolist()]
+    fields = column(np.arange(x.size))
     assert fields == [repr(v) for v in x.tolist()]
-    # one string per bit pattern, shared by the elements that hold it
-    assert len(set(map(id, fields))) == len(set(x.view(np.uint64).tolist()))
+    patterns = len(set(x.view(np.uint64).tolist()))
+    if 2 * patterns <= x.size:
+        # repeated values: one string per bit pattern, shared by the elements that hold it
+        assert len(set(map(id, fields))) == patterns
+
+
+def test_an_empirical_rank_column_shares_one_string_per_value():
+    # ranks take at most n + 1 values over n subjects x 101 grid points, so
+    # their column formats each value once (the ingest path's writer speed
+    # rests on this), not once per field
+    rng = np.random.default_rng(3)
+    grid = np.linspace(0.0, 1.0, 32)
+    values = rng.normal(size=(300, 1)) + np.sin(2 * np.pi * grid) * rng.normal(1.0, 0.3, (300, 1))
+    ranks = empirical_ranks(presmooth(FunctionalSample.from_matrix(grid, values), h_d=0.1)).ranks
+    fields = _fmt_column(np.clip(ranks, 0.0, 1.0) + 0.0)(np.arange(ranks.size))
+    assert len(set(map(id, fields))) == len(set(fields)) <= 301
 
 
 # ids full of CSV specials; each stays distinct and non-empty once stripped
