@@ -16,11 +16,12 @@ support); they form the time's window.
 
 The sums are updated, not evaluated term by term (fast sum updating,
 Langrene & Warin 2019, JCGS), by one rule on both axes: ``qbar_grid`` along
-y and CV (``bandwidth``) along t.  On [-1, 1] H and K are polynomials
-(coefficients on ``Kernel``); write P for either.  The sorted points x_k
-are cut into cells of a width (``cells``), and x_k = c + width v_k with c
-its cell's centre, so v_k lies in [-1/2, 1/2).  With z = (x_q - c)/width,
-the binomial expansion P(z - v_k) = sum_{s,r} A[s, r] z^s v_k^r
+y and ``WindowSums``, CV's reader, along t.  On [-1, 1] H and K are
+polynomials (coefficients on ``Kernel``); write P for either.  The sorted
+points x_k are cut into cells of a width (``cells``), and x_k = c + width
+v_k with c its cell's centre, so v_k lies in [-1/2, 1/2).  With
+z = (x_q - c)/width, the binomial expansion
+P(z - v_k) = sum_{s,r} A[s, r] z^s v_k^r
 (``expansion``) turns the sum of a_k P((x_q - x_k)/reach) over the part of
 the open band |x_k - x_q| < reach in one cell into
 sum_{s,r} A[s, r] z^s M_r, where M_r = sum a_k v_k^r is a difference of two
@@ -40,9 +41,9 @@ adds a dozen rows.  At the n = 200 block shape (the 164 calls of a
 small matmuls for the weights, and takes 113-115 us this way (best of 7,
 1 BLAS thread).
 The band may be open: a point on its edge has K = 0, or H = 1 and lies in
-the mass below it.  Who is in a band is decided in the caller's units: CV
-compares times as they are (tau > s - h_t), as its own-subject count does,
-and ``qbar_grid`` passes values it has already scaled, with width 1.
+the mass below it.  Who is in a band is decided in the caller's units:
+``WindowSums`` compares times as they are (its docstring says why), and
+``qbar_grid`` passes values it has already scaled, with width 1.
 
 Along y, with a_k a time weight (w_k K or w_k K') and
 u_k = (y_q - y_k)/h_Y, H is 1 for u >= 1 and 0 for u <= -1, so sum_k a_k
@@ -88,20 +89,9 @@ cancel catastrophically when one subject sits far from the rest.
 Cell-local moments are bounded by the window's total weight, so the error
 stays at rounding level whatever the spread of the data.
 
-Each caller reads the moments its own way.  ``qbar_grid`` takes each
-cell's moment difference, then weighs it: an empty band takes its first
-cell from the next point above, which can lie far away, and its huge
-weights cancel exactly only against zero differences.  Weighing the edge
-moments directly put it 1.8e-10 (Epanechnikov, an outlier 50 units out)
-to 0.57 (biweight, 500 out) from the direct sums.  A CV window holds its
-own time, so is never empty; CV weighs the edge moments directly, as
-differencing first made ``select_bandwidths`` 1.5 to 2 times slower on
-ragged samples of 30 to 120 subjects.  A window's inner edges are cell
-starts, which all windows share, so CV weighs them once per h_T into a
-matrix over the cells, banded in row chunks.  A column block builds one set
-of prefix moments for every h_T of a set; each h_T's window sums are then
-a matmul per chunk against the moments at the cell starts, plus the reads
-at each window's two ends.
+Each caller reads the moments its own way: ``qbar_grid`` takes each cell's
+moment difference, then weighs it, and ``WindowSums`` weighs the edge
+moments directly; its docstring says why.
 
 No temporary is a (queries x window) product, so queries need no chunking.
 """
@@ -254,6 +244,104 @@ def cell_sets(hs):
         hs = hs[len(shared):]
 
 
+def _cell_matrix(key, lo, hi, first, w):
+    """One bandwidth's windows: their ends, edge coefficients and whole cells as a banded matrix.
+
+    ``w`` is (windows, cells, deg), ``band_rule``'s weights of the windows
+    tau[lo:hi], none empty, whose c-th cell starts at table row first + c.
+    With M(i) the prefix moments of the first i times, a window's sum is
+    -w[q, 0] . M(lo) + w[q, last] . M(hi), plus (w[q, c - 1] - w[q, c]) .
+    M(start of cell c) for c = 1 .. last, its last cell.  Returns the ends
+    (windows, 2), lo and hi, the edge coefficients (windows, 1, 2 deg) and
+    the whole-cell ones as chunks (r0, r1, c0, mat): windows r0:r1 take
+    mat @ the flattened moments at the cell starts from row c0 on.  A chunk
+    takes the windows that end within cells + 1 of its first window's first
+    cell, so its rows hold no more than a gather of each window's cells + 1
+    edges would for one column.
+    """
+    ni, ncell, deg = w.shape
+    last = key[hi - 1] - first
+    edge = np.concatenate([-w[:, 0], w[np.arange(ni), last]], axis=1)
+    inner = w[:, :-1] - w[:, 1:]
+    end = first + last
+    chunks, r0 = [], 0
+    while r0 < ni:
+        r1 = int(np.searchsorted(end, first[r0] + ncell + 1, side="right"))
+        rows, c = np.nonzero(np.arange(1, ncell) <= last[r0:r1, None])
+        mat = np.zeros((r1 - r0, end[r1 - 1] - first[r0], deg))
+        mat[rows, first[r0 + rows] + c - first[r0]] = inner[r0 + rows, c]
+        chunks.append((r0, r1, (first[r0] + 1) * deg, mat.reshape(r1 - r0, -1)))
+        r0 = r1
+    return np.column_stack([lo, hi]), edge[:, None], chunks
+
+
+class WindowSums:
+    """CV's window sums along time: sum_tau K((s - tau) / h) d[tau] at each query time s.
+
+    ``tau`` are the distinct observation times, ascending, ``queries`` the
+    times s, each one of ``tau``, so no window is empty, and ``hs`` the
+    bandwidths h; the c-th bandwidth is the c-th smallest distinct one.
+    ``sums(d, use)`` reads a (len(tau), columns) ``d`` for the bandwidths
+    ``use``.  A window is open and decided in time units, tau > s - h, not
+    (s - tau) / h < 1, as CV's count of a subject's own observations is:
+    ``ends[c]`` holds each query's window tau[lo:hi] for the c-th bandwidth,
+    (queries, 2), so CV counts the observations in it exactly.
+
+    The bandwidths share cells by ``cell_sets``: each call builds one set of
+    prefix moments of ``d`` per set of bandwidths it reads, on cells as wide
+    as the set's narrowest, and every bandwidth of the set reads it.  The
+    reader weighs the edge moments directly, where ``qbar_grid`` takes each
+    cell's moment difference first.  An empty band of ``qbar_grid`` takes
+    its first cell from the next point above, which can lie far away, and
+    its huge weights cancel exactly only against zero differences; weighing
+    the edge moments directly put it 1.8e-10 (Epanechnikov, an outlier 50
+    units out) to 0.57 (biweight, 500 out) from the direct sums.  A window
+    here holds its own query time, so is never empty, and differencing first
+    made ``select_bandwidths`` 1.5 to 2 times slower on ragged samples of 30
+    to 120 subjects.  A window's inner edges are cell starts, which all
+    windows share, so they are weighed once per bandwidth into a matrix over
+    the cell starts, banded in row chunks (``_cell_matrix``).  Each
+    bandwidth's window sums are then a matmul per chunk against the moments
+    at the cell starts, plus the reads at each window's two ends.  A chunk
+    is at most one cell wider than a window, so a bandwidth's matrix holds
+    no more than a gather of its windows' edges would for one column.
+
+    ``floats_per_column`` is what one call's buffers take per column of
+    ``d``, besides its output: one cell set's prefix moments, their rows at
+    the cell starts, and one bandwidth's two edge reads and their sum per
+    query.  Nothing is written after the build, and each call allocates its
+    own output, so threads may call ``sums`` at once.
+    """
+
+    def __init__(self, tau, queries, hs, kernel: Kernel):
+        expand = expansion(kernel.density_coeffs)[None]
+        deg = expand.shape[-1]
+        self._cells, self._rules = [], []
+        for width, shared in cell_sets(hs):
+            cl = cells(tau, width, deg, shared[-1])
+            for h in shared:
+                lo, hi, first, w = band_rule(tau, cl, queries, h, width, expand)
+                self._rules.append((len(self._cells), *_cell_matrix(cl.key, lo, hi, first, w[:, 0])))
+            self._cells.append(cl)
+        self.ends = [ends for _, ends, _, _ in self._rules]
+        self.floats_per_column = (deg + 1) * (tau.size + 1) + (2 * deg + 1) * queries.size
+        self.floats_per_column += deg * max(cl.start.size for cl in self._cells)
+
+    def sums(self, d, use):
+        """out[q, s] = the window sum of ``d`` at query s for the use[q]-th bandwidth."""
+        b = d.shape[1]
+        out = np.empty((len(use), len(self.ends[0]), b))
+        for k in sorted({self._rules[c][0] for c in use}):
+            mom = prefix_moments(self._cells[k].vpow, d)
+            at_start = mom[self._cells[k].start].reshape(-1, b)
+            for q, (k_q, ends, edge, chunks) in enumerate(self._rules[c] for c in use):
+                if k_q == k:
+                    for r0, r1, c0, mat in chunks:
+                        np.matmul(mat, at_start[c0 : c0 + mat.shape[1]], out=out[q, r0:r1])
+                    out[q] += (edge @ mom[ends].reshape(len(ends), -1, b))[:, 0]
+        return out
+
+
 # A block's prefix moments, zero row included, hold at most this many floats
 # (512 KB), unless one time's alone hold more.  See the module notes.
 BLOCK_MOMENTS = 2**16
@@ -335,7 +423,7 @@ def qbar_grid(flat: FlatData, kern: Kernel, pairs, ts, yq, partials: bool = True
                 inner = first[..., None] + np.arange(1, weights.shape[-2])
                 inner = np.minimum(np.take(cl.start, inner, mode="clip"), hi[..., None])
                 edges = np.concatenate([lo[..., None], inner, hi[..., None]], axis=-1)
-                # each cell's moment difference, then its weights (see the module notes)
+                # each cell's moment difference, then its weights (see ``WindowSums``)
                 band = np.diff(mom[edges, own[:, None]], axis=2).reshape(*uq.shape, -1, a.shape[-1])
                 sums = weights.reshape(*uq.shape, expand.shape[0], -1) @ band
                 sums[:, :, 0] += mom[lo, own, 0]

@@ -31,22 +31,18 @@ after another, unpadded, and the scored ones (times inside (h_max,
 1 - h_max)) follow in the same order.
 
 S is a window sum along time, over G summed per distinct observation
-time tau (a shared grid of m points gives m rows), by the engine's
-sum-updating rule (``_engine``).  The h_t share cells by the engine's
-``cell_sets``: each column block builds one set of prefix moments per set
-of h_t, on cells as wide as its narrowest, and every h_t of the set reads
-it.  The cells a window spans whole are weighed once per h_t, into a
-matrix over the cell starts held in row chunks (``_cell_matrix``), so a
-block's window sums are a matmul per chunk against the moments at the cell
-starts plus two edge reads per window.  S_i is direct: a grid's own windows hold few
-points, so one matmul per grid, its time weights against its block of G,
-gives every member's own sums.  A leave-out window left empty is found by
-counting, so rounding in the prefix moments cannot hide it.
+time tau (a shared grid of m points gives m rows), read for each column
+block by the engine's ``WindowSums``; its docstring says how.  S_i is
+direct: a grid's own windows hold few points, so one matmul per grid, its
+time weights against its block of G, gives every member's own sums.  A
+leave-out window left empty is found by counting the observations within
+the reader's window ends, so rounding in the prefix moments cannot hide
+it.
 
 The score adds up over y-grid columns, so the columns are taken in
 blocks, from the top down: the first block, full width, holds the top
 column and so the masses every block divides by, and the remainder block
-is the bottom one.  A block's buffers, the two edge reads per window
+is the bottom one.  A block's buffers, the window-sum reader's
 included, stay within one (N, 201) H, N the number of observations, but
 within no less than _BLOCK_FLOOR = 2^18 floats (2 MB) and no more than
 _BLOCK_CEILING = 2^20 floats (8 MB).  The bulk of a block is never held
@@ -62,12 +58,9 @@ ragged sample after a ``summaries`` run (10.6k faults against 4.4k, 58
 against 53 ms), so they go when the next block's replace them.  A block
 holds at least one column, about 7 floats per observation on the default
 grid, so CV's memory grows with N, not with N x 201: on 5000 subjects of
-32 times its traced peak is 33 MB, where one H is 257 MB.  A chunk of the
-whole-cell matrix is at most one cell wider than a window, so an h_t's
-matrix holds no more than a gather of its windows' edges would for one
-column.  The floor lets a small sample run fewer, wider blocks: 18
-columns a block instead of 13 on a 30-subject ragged sample (N x 201 =
-193k).  It left the peak resident memory of that sample's ``cv`` and
+32 times its traced peak is 33 MB, where one H is 257 MB.  The floor
+lets a small sample run fewer, wider blocks: 18 columns a block instead
+of 13 on a 30-subject ragged sample (N x 201 = 193k).  It left the peak resident memory of that sample's ``cv`` and
 ``summaries`` runs flat, where 2^19 floats added 4% and 2^20 added 10%.
 The ceiling is the fastest budget measured (median over 5 processes of
 the best CPU time of 9 calls; one-H blocks -> 2^20 -> 2^19 floats): 128
@@ -77,7 +70,8 @@ tracing 15.9 -> 8.9 -> 5.3 MB.  On the 5000 subjects, one-H blocks took
 3.4-3.9 s of CPU time a call against 3.0-3.1 s (one thread).
 
 The h_y groups write nothing they share: each has its own y-grid, H,
-window sums, own sums and score, and fills its own pairs' values.  Once
+window sums, own sums and score, and fills its own pairs' values; the
+window-sum reader they share is only read after it is built.  Once
 N x 201 reaches 2^20 (``_THREADED_SIZE``), and there are two groups and two
 CPUs this process may run on, a worker thread scores every other group
 beside the calling thread, as numpy releases the interpreter lock in a
@@ -110,7 +104,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError, InsufficientDataError
-from ._engine import band_rule, cell_sets, cells, expansion, prefix_moments
+from ._engine import WindowSums
 from .kernels import EPANECHNIKOV, Kernel
 from .ranks import Bandwidths
 from .sample import FunctionalSample, pooled_std
@@ -144,36 +138,6 @@ def _block_width(one_h: int, per_col: int, threaded: bool) -> int:
     half that when threaded, however many threads run; at least one column."""
     budget = min(max(one_h, _BLOCK_FLOOR), _BLOCK_CEILING)
     return max(1, budget // (per_col * (2 if threaded else 1)))
-
-
-def _cell_matrix(key, hi, first, w):
-    """One h_t's window coefficients: its two edges, and whole cells as a banded matrix.
-
-    ``w`` is (windows, cells, deg), ``band_rule``'s weights of the windows
-    tau[lo:hi], none empty, whose c-th cell starts at table row first + c.
-    With M(i) the prefix moments of the first i times, a window's sum is
-    -w[q, 0] . M(lo) + w[q, last] . M(hi), plus (w[q, c - 1] - w[q, c]) .
-    M(start of cell c) for c = 1 .. last, its last cell.  Returns the edge
-    coefficients (windows, 2 deg) and the whole-cell ones as chunks (r0, r1,
-    c0, mat): windows r0:r1 take mat @ the flattened moments at the cell
-    starts from row c0 on.  A chunk takes the windows that end within
-    cells + 1 of its first window's first cell, so its rows hold no more
-    than a gather of each window's cells + 1 edges would for one column.
-    """
-    ni, ncell, deg = w.shape
-    last = key[hi - 1] - first
-    edge = np.concatenate([-w[:, 0], w[np.arange(ni), last]], axis=1)
-    inner = w[:, :-1] - w[:, 1:]
-    end = first + last
-    chunks, r0 = [], 0
-    while r0 < ni:
-        r1 = int(np.searchsorted(end, first[r0] + ncell + 1, side="right"))
-        rows, c = np.nonzero(np.arange(1, ncell) <= last[r0:r1, None])
-        mat = np.zeros((r1 - r0, end[r1 - 1] - first[r0], deg))
-        mat[rows, first[r0 + rows] + c - first[r0]] = inner[r0 + rows, c]
-        chunks.append((r0, r1, (first[r0] + 1) * deg, mat.reshape(r1 - r0, -1)))
-        r0 = r1
-    return edge, chunks
 
 
 @dataclass
@@ -275,42 +239,11 @@ def _cv_values(
     h_ts = sorted({bw.h_t for bw in pairs})
     col = {h_t: c for c, h_t in enumerate(h_ts)}
     lead = [next(p for p, bw in enumerate(pairs) if bw.h_t == h_t) for h_t in h_ts]
-    expand = expansion(kernel.density_coeffs)[None]
-    deg = expand.shape[-1]
-    # per cell set its points' offsets and cell starts; per h_t its set, window
-    # edges, their coefficients and the matrix of whole-cell coefficients
-    sets, rules = [], []
-    for cell_width, shared in cell_sets(h_ts):
-        cl = cells(tau, cell_width, deg, shared[-1])
-        for h_t in shared:
-            lo, hi, first, weights = band_rule(tau, cl, interior, h_t, cell_width, expand)
-            edge, chunks = _cell_matrix(cl.key, hi, first, weights[:, 0])
-            rules.append((len(sets), np.column_stack([lo, hi]), edge[:, None], chunks))
-        sets.append((cl.vpow, cl.start))
-
-    def window_sums(d, use):
-        """out[q, s] = sum_tau K((s - tau) / h_t) d[tau] for h_t = h_ts[use[q]], d (T, columns).
-
-        The moments of one cell set at a time; each h_t reads the moments at
-        its cells' starts in one matmul per row chunk, and its window edges.
-        """
-        b = d.shape[1]
-        out = np.empty((len(use), interior.size, b))
-        for k in sorted({rules[c][0] for c in use}):
-            vpow, start = sets[k]
-            mom = prefix_moments(vpow, d)
-            at_start = mom[start].reshape(-1, b)
-            for q, c in enumerate(use):
-                if rules[c][0] == k:
-                    _, ends, edge, chunks = rules[c]
-                    for r0, r1, c0, mat in chunks:
-                        np.matmul(mat, at_start[c0 : c0 + mat.shape[1]], out=out[q, r0:r1])
-                    out[q] += (edge @ mom[ends].reshape(interior.size, -1, b))[:, 0]
-        return out
+    windows = WindowSums(tau, interior, h_ts, kernel)
 
     # observations before each time, counted exactly
     n_t = np.append(0.0, np.cumsum(per_time(np.ones((vals.size, 1)))))
-    count = np.column_stack([n_t[e[:, 1]] - n_t[e[:, 0]] for _, e, *_ in rules])
+    count = np.column_stack([n_t[e[:, 1]] - n_t[e[:, 0]] for e in windows.ends])
     h_col = np.array(h_ts)
     own_w, at, fails = [], [], []
     for t, v, j, members in zip(grids, tables, scored, sample.grid_groups):
@@ -332,23 +265,19 @@ def _cv_values(
     for idx, bw in enumerate(pairs):
         groups.setdefault(bw.h_y, []).append(idx)
     most = max(len({pairs[i].h_t for i in idxs}) for idxs in groups.values())
-    # Columns per block: G, H's argument and their per-time sums, one cell
-    # set's moments and their rows at the cell starts, one h_t's two edge
-    # reads per scored time, the window sums, the numerators and lam.
-    per_col = 2 * (vals.size + row_t.size) + (deg + 1) * (tau.size + 1)
-    per_col += deg * max(start.size for _, start in sets)
-    per_col += (most + 2 * deg + 1) * interior.size + (most + 2) * jumps.size
+    # Floats per y-grid column besides the window-sum reader's: G, H's argument
+    # and their per-time sums, the window sums, the numerators and lam.
+    per_col = 2 * (vals.size + row_t.size) + most * interior.size + (most + 2) * jumps.size
     threaded = vals.size * gy >= _THREADED_SIZE
-    step = _block_width(vals.size * gy, per_col, threaded)
+    step = _block_width(vals.size * gy, per_col + windows.floats_per_column, threaded)
     bounds = np.cumsum([0] + [j.size * v.shape[1] for v, j in zip(tables, scored)])
     offsets = np.cumsum([0] + [v.size for v in tables])
 
-    allv = np.concatenate(sample.values)
     totals = [0.0] * len(pairs)
 
     def score_group(h_y, idxs):
         """Score the pairs ``idxs`` of one h_y into their own slots of ``totals``."""
-        ygrid = np.linspace(allv.min() - h_y, allv.max() + h_y, gy)
+        ygrid = np.linspace(vals.min() - h_y, vals.max() + h_y, gy)
         # The split trapezoid of (1{Y <= y} - f(y))^2 is f^2.tw + (ygrid[-1] - Y) - f.lam,
         # with tw the trapezoid weights.  Y lies in cell c, (ygrid[c - 1], ygrid[c]], a
         # fraction r of the way up, and d = ygrid[c] - Y.  lam is 2 tw above c, and
@@ -373,7 +302,7 @@ def _cv_values(
             g = kernel.cdf(arg, out=g_buf[: vals.size * b].reshape(vals.size, b))
             del arg
             g *= wts[:, None]
-            full = window_sums(per_time(g), use)  # (h_t, time, column)
+            full = windows.sums(per_time(g), use)  # (h_t, time, column)
             # own sums, one matmul per grid, turned into leave-out numerators
             num = num_buf[: len(use) * jumps.size * b].reshape(len(use), jumps.size, b)
             for v, j, a, s, e, o in zip(tables, scored, own_a, bounds, bounds[1:], offsets):

@@ -2,10 +2,11 @@
 
 A command computes everything first and returns its files, a map from
 file name to text.  ``main`` then removes the command's own figures that
-this run did not draw from the --out directory, writes each file, figures
-included, by temp file and rename, and writes ``run_manifest.json``, which
-echoes all resolved parameters, last.  A command that fails writes
-nothing.  Re-running a command with ``--config run_manifest.json``
+this run did not draw from the --out directory, writes every file, figures
+included, to a temp file, and renames the temps into place once all are
+written, ``run_manifest.json``, which echoes all resolved parameters, last.
+A command that fails writes nothing (``_write_atomic`` says what a failed
+rename leaves).  Re-running a command with ``--config run_manifest.json``
 reproduces the outputs byte-identically: the manifest stores the resolved
 bandwidths, so even a CV-selected run replays without re-selection.
 
@@ -47,12 +48,27 @@ class UsageError(Exception):
     pass
 
 
-def _write_atomic(path: Path, parts) -> None:
-    """Write the strings of ``parts`` in order to ``path`` via a temp file and a rename."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.writelines(parts)
-    os.replace(tmp, path)
+def _write_atomic(out: Path, files) -> None:
+    """Write each file of ``files``, a map from name to strings, into ``out``.
+
+    Every file goes to a temp file first, and the temps are renamed into
+    place, in order, only once all are written.  On any failure the temps
+    not yet renamed are removed, so a failed write leaves no new file; a
+    failed rename leaves the files renamed before it.
+    """
+    temps = []  # (temp, target) written and not yet renamed
+    try:
+        for name, parts in files.items():
+            tmp = out / (name + ".tmp")
+            with open(tmp, "w", encoding="utf-8") as fh:
+                temps.append((tmp, out / name))
+                fh.writelines(parts)
+        while temps:
+            os.replace(*temps[0])
+            del temps[0]
+    finally:
+        for tmp, _ in temps:
+            tmp.unlink(missing_ok=True)
 
 
 def _csv_field(text: str) -> str:
@@ -492,8 +508,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         for name in _FIGURES[args.command] - files.keys():
             (out / name).unlink(missing_ok=True)
-        for name, parts in files.items():
-            _write_atomic(out / name, parts)
+        _write_atomic(out, files)
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -150,6 +150,44 @@ def test_figures_parse_and_leave_no_temp_file(command, figure, data_csv, tmp_pat
     assert not list(out.glob("*.tmp"))
 
 
+def test_a_write_that_fails_mid_file_leaves_no_new_file(data_csv, tmp_path, monkeypatch, capsys):
+    # cv's second file fails after its first chunk: nothing is renamed into
+    # place, the earlier run's file is untouched and no temp file is left
+    cv = cli._COMMANDS["cv"]
+
+    def failing(cfg):
+        files = cv(cfg)
+        first = next(iter(files["chosen.json"]))
+
+        def chunks():
+            yield first
+            raise OSError("No space left on device")
+
+        files["chosen.json"] = chunks()
+        return files
+
+    monkeypatch.setitem(cli._COMMANDS, "cv", failing)
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "cv_report.csv").write_text("old")
+    assert main(["cv", "--input", str(data_csv), "--cv-grid", "2x2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: No space left on device\n"
+    assert {p.name: p.read_text() for p in out.iterdir()} == {"cv_report.csv": "old"}
+
+
+def test_a_directory_in_the_way_exits_1_and_leaves_no_temp_file(data_csv, tmp_path, capsys):
+    # the rename onto the directory fails: the files renamed before it stay,
+    # the manifest, renamed last, is not written, and no temp file is left
+    out = tmp_path / "o"
+    (out / "contributions.json").mkdir(parents=True)
+    args = ["decompose", "--input", str(data_csv), "--h-y", "0.5", "--h-t", "0.2", "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(out.glob("*.tmp"))
+    assert (out / "contributions.json").is_dir()
+    assert not (out / "run_manifest.json").exists()
+
+
 @pytest.mark.parametrize("command, figures, extra", [
     ("decompose", ["components.svg"], ["--h-y", "0.8", "--h-t", "0.2"]),
     ("summaries", ["gamma.svg"], ["--h-y", "0.8", "--h-t", "0.2"]),
@@ -353,7 +391,7 @@ class TestWriterMatchesRowByRowOracle:
             [[0.12345678901234568, -1e-12], [1 + 1e-12, 0.5], [-0.0, 0.9999999999999999]],
             "smooth",
         )
-        cli._write_atomic(tmp_path / "ranks.csv", cli._ranks_csv([empirical, smooth]))
+        cli._write_atomic(tmp_path, {"ranks.csv": cli._ranks_csv([empirical, smooth])})
         self._check(tmp_path / "ranks.csv", naive_ranks_csv([empirical, smooth]))
         text = (tmp_path / "ranks.csv").read_text()
         assert "-0.0" not in text and "1.000000000001" not in text
@@ -364,20 +402,20 @@ class TestWriterMatchesRowByRowOracle:
                        [0.0, 7.0, -self.THIRD]])
         c2 = np.array([[-self.THIRD, 0.0, 5e-324], [1.0, 2.0 / 3.0, -0.1], [1e-17, -7.0, 0.5]])
         dec = DecompositionResult(self.IDS, [0.2, 0.5, 0.8], c1, c2, c1 + c2)
-        cli._write_atomic(tmp_path / "decomposition.csv", cli._decomposition_csv(dec))
+        cli._write_atomic(tmp_path, {"decomposition.csv": cli._decomposition_csv(dec)})
         self._check(tmp_path / "decomposition.csv", naive_decomposition_csv(dec))
 
     def test_subject_summaries(self, tmp_path):
         subs = [SubjectSummary(sid, self.THIRD * k, 0.1 + 0.2, -0.0, 1e-17 * k)
                 for k, sid in enumerate(self.IDS)]
-        cli._write_atomic(tmp_path / "subject_summaries.csv", cli._subject_summaries_csv(subs))
+        cli._write_atomic(tmp_path, {"subject_summaries.csv": cli._subject_summaries_csv(subs)})
         self._check(tmp_path / "subject_summaries.csv", naive_subject_summaries_csv(subs))
 
     def test_signed_zeros_repeats_and_subnormals(self, tmp_path):
         # each column mixes 0.0 and -0.0 with repeated values and subnormals
         c1 = np.array([[0.0, -0.0, 5e-324], [-0.0, self.THIRD, 0.0], [5e-324, -5e-324, self.THIRD]])
         dec = DecompositionResult(self.IDS, [0.2, 0.5, 0.8], c1, -c1, c1 * 0.0)
-        cli._write_atomic(tmp_path / "decomposition.csv", cli._decomposition_csv(dec))
+        cli._write_atomic(tmp_path, {"decomposition.csv": cli._decomposition_csv(dec)})
         self._check(tmp_path / "decomposition.csv", naive_decomposition_csv(dec))
         c1_fields = [row[2] for row in _read_csv(tmp_path / "decomposition.csv")[1][3:6]]
         assert c1_fields == ["-0.0", "0.3333333333333333", "0.0"]
@@ -408,7 +446,7 @@ class TestWriterMatchesRowByRowOracle:
         sets = [RankTrajectories([f"s{i}" for i in range(n)], np.linspace(0.0, 1.0, g),
                                  np.round(rng.uniform(size=(n, g)), 3), method)
                 for method in ("empirical", "smooth")]
-        cli._write_atomic(tmp_path / "ranks.csv", cli._ranks_csv(sets))
+        cli._write_atomic(tmp_path, {"ranks.csv": cli._ranks_csv(sets)})
         self._check(tmp_path / "ranks.csv", naive_ranks_csv(sets))
 
     def test_commands_write_what_the_oracle_formats(self, odd_ids_csv, tmp_path):

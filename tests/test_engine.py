@@ -218,3 +218,35 @@ def test_engine_matches_oracle_with_a_far_outlier(kern):
     pairs = [(0.1, 0.2), (0.3, 0.35), (0.5, 0.2)]
     yq = np.concatenate([np.concatenate(values[1:]), [1e8 - 1.0]])
     assert _oracle_gap(times, values, kern, pairs, [0.72, 0.3, 0.5], yq) < 1e-10
+
+
+@pytest.mark.parametrize("kern", [EPANECHNIKOV, BIWEIGHT], ids=lambda k: k.name)
+@pytest.mark.parametrize("hs, sets", [((0.05, 0.1, 0.2), 1), ((0.02, 0.05, 0.3), 2)],
+                         ids=["one_cell_set", "two_cell_sets"])
+def test_window_sums_match_direct_sums(kern, hs, sets):
+    # jittered distinct times, plus 0.5 +- h for every h: the query 0.5 has
+    # both window edges exactly on observation times, which the open windows
+    # leave out in time units, whatever (0.5 - tau) / h rounds to
+    assert len(list(_engine.cell_sets(hs))) == sets
+    rng = np.random.default_rng(len(hs) + sets)
+    jittered = (np.arange(150) + rng.uniform(0.05, 0.95, 150)) / 150
+    edges = [0.5, *(0.5 + h for h in hs), *(0.5 - h for h in hs)]
+    tau = np.unique(np.concatenate([jittered, edges]))
+    assert tau.size == jittered.size + len(edges)
+    queries = np.union1d(tau[::4], [0.5])
+    d = rng.uniform(0.5, 1.5, size=(tau.size, 3))
+    windows = _engine.WindowSums(tau, queries, hs, kern)
+    got = windows.sums(d, list(range(len(hs))))
+    for c, h in enumerate(sorted(hs)):
+        lo, hi = np.searchsorted(tau, queries - h, "right"), np.searchsorted(tau, queries + h)
+        assert np.array_equal(windows.ends[c], np.column_stack([lo, hi]))
+        for q, s in enumerate(queries):
+            inside = (tau > s - h) & (tau < s + h)
+            assert np.array_equal(np.flatnonzero(inside), np.arange(lo[q], hi[q]))
+            want = kern.density((s - tau[inside]) / h) @ d[inside]
+            np.testing.assert_allclose(got[c, q], want, rtol=1e-12, atol=0.0)
+        at = np.flatnonzero(queries == 0.5)[0]
+        assert tau[lo[at] - 1] == 0.5 - h and tau[hi[at]] == 0.5 + h
+    # the widest bandwidth read alone
+    alone = windows.sums(d, [len(hs) - 1])
+    assert np.array_equal(alone[0], got[-1])
