@@ -51,8 +51,12 @@ H(u_k) is the prefix sum of a_k over y_k <= y_q - h_Y plus a band sum.
 ``flatten`` sorts the pooled observations by value once, ties broken by
 time.  ``qbar_grid`` walks its times in ascending order in consecutive
 blocks.  Each h_Y writes a block's raw S1, S3 and S5 columns into one
-array in the caller's time order, and each pair divides its own columns
-out once at the end.  A block's window, every observation within the
+array in the caller's time order.  At the end that array, and the S2 and
+S4 totals, are scaled in place by each column's normaliser, and every
+pair's Q1 .. Q5 are read-only views of the scaled sums, with no copy per
+pair: the 16 pairs of an n = 200 ``decompose_many`` traced 9.0 MB with a
+divided copy per pair and 7.0 MB with views, 2.2 times the 3.1 MB of
+results it returns.  A block's window, every observation within the
 widest h_T of its [first, last] time, is picked out of the value-sorted
 data and so stays sorted.  Its prefix moments have one
 column per block time, distinct h_T and K or K'; a query reads only its own
@@ -375,7 +379,9 @@ def qbar_grid(flat: FlatData, kern: Kernel, pairs, ts, yq, partials: bool = True
     and Q2 and Q4 are (T,), all zero at a time with no data within h_t.  A
     query more than h_y above every value within h_t of its time gets Q1 = Q2
     and Q3 = Q4 exactly.  With ``partials=False`` only (q1, q2) are built:
-    no K' time weights and no K moments.
+    no K' time weights and no K moments.  The averages are read-only views
+    of one scaled array per h_y and one of the totals, so pairs that share
+    an h_y or an h_t share memory, and a repeated pair reads the same.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     yq = np.asarray(yq, dtype=float)
@@ -390,7 +396,7 @@ def qbar_grid(flat: FlatData, kern: Kernel, pairs, ts, yq, partials: bool = True
         groups.setdefault(float(hy), []).append(idx)
 
     # raw sums in the caller's time order: per h_y S1 and S3 per time weight
-    # column, then S5 per h_t; S2 and S4 per column; divided out per pair at the end
+    # column, then S5 per h_t; S2 and S4 per column; scaled in place at the end
     ncol = expand.shape[0] * nt
     raw = {hy: np.zeros((*yq.shape, ncol + nt * partials)) for hy in groups}
     total = np.zeros((ts.size, ncol))
@@ -430,12 +436,19 @@ def qbar_grid(flat: FlatData, kern: Kernel, pairs, ts, yq, partials: bool = True
                 raw[hy][:, cols, :ncol] = sums[:, :, 0]
                 if partials:
                     raw[hy][:, cols, ncol:] = sums[:, :, 1, :nt]
+    # each column by its normaliser, in place: n h_t for S1 and S2, n h_t^2 for S3
+    # and S4, n h_y h_t for S5; then every pair reads views of its columns
+    scale = [n * h_ts, n * h_ts * h_ts][: expand.shape[0]]
+    total /= np.concatenate(scale)
+    total.flags.writeable = False
+    for hy, s in raw.items():
+        s /= np.concatenate(scale + [n * hy * h_ts] * partials)
+        s.flags.writeable = False
     out = []
     for hy, ht in pairs:
         c, s = col[float(ht)], raw[float(hy)]
-        q = [s[..., c] / (n * ht), total[:, c] / (n * ht)]
+        q = [s[..., c], total[:, c]]
         if partials:
-            q += [s[..., nt + c] / (n * ht * ht), total[:, nt + c] / (n * ht * ht),
-                  s[..., ncol + c] / (n * hy * ht)]
+            q += [s[..., nt + c], total[:, nt + c], s[..., ncol + c]]
         out.append(tuple(q))
     return out

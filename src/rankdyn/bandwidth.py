@@ -47,7 +47,8 @@ included, stay within one (N, 201) H, N the number of observations, but
 within no less than _BLOCK_FLOOR = 2^18 floats (2 MB) and no more than
 _BLOCK_CEILING = 2^20 floats (8 MB).  The bulk of a block is never held
 twice: H, the numerators and the score's two sums per scored value are
-one buffer each, which every block of an h_y group reuses, and H's
+one buffer each per thread, sized for the h_y group with the most h_t,
+which every block of every group that thread scores reuses, and H's
 argument is released as soon as H is evaluated.  Fresh arrays for every
 block instead took 12.9k minor page faults a call at n = 200 against
 6.8k, and 8-10% more time, as the allocator gave their pages back at
@@ -69,9 +70,16 @@ the best CPU time of 9 calls; one-H blocks -> 2^20 -> 2^19 floats): 128
 tracing 15.9 -> 8.9 -> 5.3 MB.  On the 5000 subjects, one-H blocks took
 3.4-3.9 s of CPU time a call against 3.0-3.1 s (one thread).
 
-The h_y groups write nothing they share: each has its own y-grid, H,
-window sums, own sums and score, and fills its own pairs' values; the
-window-sum reader they share is only read after it is built.  Once
+The h_y groups scored at once write nothing they share: each has its own
+y-grid, window sums and score, its thread's H, own sums and lam, and fills
+its own pairs' values; the window-sum reader they share is only read after
+it is built.  The calling thread allocates both threads' buffer sets
+before the worker starts.  When each group allocated a fresh set in the
+thread that scored it, the worker's allocator arena grew by a set, while
+pages the calling thread had freed could have held it: with the sets made
+by the caller, rdbench's ``mc_verify`` (one Monte Carlo run at n = 20, 50
+and 200 on the default grid; 2 CPUs, 3 processes a side) peaks at
+69.2-69.8 MB resident against 71.9-72.5 MB.  Once
 N x 201 reaches 2^20 (``_THREADED_SIZE``), and there are two groups and two
 CPUs this process may run on, a worker thread scores every other group
 beside the calling thread, as numpy releases the interpreter lock in a
@@ -275,8 +283,13 @@ def _cv_values(
 
     totals = [0.0] * len(pairs)
 
-    def score_group(h_y, idxs):
-        """Score the pairs ``idxs`` of one h_y into their own slots of ``totals``."""
+    def buffers():
+        """H, the numerators and the score's two per-value sums, for the group with most h_t."""
+        return (np.empty(vals.size * step), np.empty(most * jumps.size * step),
+                np.empty((2, most, jumps.size)))
+
+    def score_group(h_y, idxs, bufs):
+        """Score the pairs ``idxs`` of one h_y into their own slots of ``totals``, in ``bufs``."""
         ygrid = np.linspace(vals.min() - h_y, vals.max() + h_y, gy)
         # The split trapezoid of (1{Y <= y} - f(y))^2 is f^2.tw + (ygrid[-1] - Y) - f.lam,
         # with tw the trapezoid weights.  Y lies in cell c, (ygrid[c - 1], ygrid[c]], a
@@ -291,10 +304,8 @@ def _cv_values(
         use = sorted({col[pairs[i].h_t] for i in idxs})
         own_a = own_w if len(use) == len(h_ts) else [a[use] for a in own_w]  # no copy on a full grid
         score = np.zeros(len(use))
-        # H, the numerators and the score's two per-value sums: one buffer each, for every block
-        g_buf = np.empty(vals.size * step)
-        num_buf = np.empty(len(use) * jumps.size * step)
-        lin, quad = np.empty((2, len(use), jumps.size))
+        g_buf, num_buf, sums = bufs
+        lin, quad = sums[:, : len(use)]
         for c1 in range(gy, 0, -step):  # top down: the first block holds the masses
             c0 = max(0, c1 - step)
             b = c1 - c0
@@ -327,22 +338,24 @@ def _cv_values(
         for idx in idxs:
             totals[idx] = float(score[use.index(col[pairs[idx].h_t])]) + offset
 
-    def score_all(items):
+    def score_all(items, bufs):
         for h_y, idxs in items:
-            score_group(h_y, idxs)
+            score_group(h_y, idxs, bufs)
 
     items = list(groups.items())
     if threaded and min(len(items), _cpus()) > 1:
         import concurrent.futures  # loads logging, which only this branch needs
 
+        # both threads' buffers come from this thread's arena (module notes)
+        mine, theirs = buffers(), buffers()
         with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
-            rest = pool.submit(score_all, items[1::2])
+            rest = pool.submit(score_all, items[1::2], theirs)
             try:
-                score_all(items[::2])
+                score_all(items[::2], mine)
             finally:
                 rest.result()
     else:
-        score_all(items)
+        score_all(items, buffers())
     return totals
 
 

@@ -1,14 +1,15 @@
 """Command-line front end: ranks, decompose, summaries, cv, simulate.
 
-A command computes everything first and returns its files, a map from
-file name to text.  ``main`` then removes the command's own figures that
-this run did not draw from the --out directory, writes every file, figures
-included, to a temp file, and renames the temps into place once all are
-written, ``run_manifest.json``, which echoes all resolved parameters, last.
-A command that fails writes nothing (``_write_atomic`` says what a failed
-rename leaves).  Re-running a command with ``--config run_manifest.json``
-reproduces the outputs byte-identically: the manifest stores the resolved
-bandwidths, so even a CV-selected run replays without re-selection.
+A command computes everything first and returns its files, a map from file
+name to text.  ``main`` then writes every file, figures included, to a
+temp file, and renames the temps into place once all are written,
+``run_manifest.json``, which echoes all resolved parameters, last.  Just
+before that last rename it removes the command's own figures that this run
+did not draw from the --out directory.  A command that fails writes
+nothing (``_write_atomic`` says what a failed rename leaves).  Re-running
+a command with ``--config run_manifest.json`` reproduces the outputs
+byte-identically: the manifest stores the resolved bandwidths, so even a
+CV-selected run replays without re-selection.
 
 Exit codes: 0 success, 2 usage errors, 1 data, validation or file (OSError) errors.
 """
@@ -48,13 +49,16 @@ class UsageError(Exception):
     pass
 
 
-def _write_atomic(out: Path, files) -> None:
+def _write_atomic(out: Path, files, stale=()) -> None:
     """Write each file of ``files``, a map from name to strings, into ``out``.
 
     Every file goes to a temp file first, and the temps are renamed into
-    place, in order, only once all are written.  On any failure the temps
-    not yet renamed are removed, so a failed write leaves no new file; a
-    failed rename leaves the files renamed before it.
+    place, in order, only once all are written.  The files named in
+    ``stale`` are removed from ``out`` after every rename but the last, the
+    manifest's, and before it.  On any failure the temps not yet renamed
+    are removed, so a failed write leaves no new file; a failed rename
+    leaves the files renamed before it and removes no stale file, so those
+    stay beside the manifest that wrote them.
     """
     temps = []  # (temp, target) written and not yet renamed
     try:
@@ -64,6 +68,9 @@ def _write_atomic(out: Path, files) -> None:
                 temps.append((tmp, out / name))
                 fh.writelines(parts)
         while temps:
+            if len(temps) == 1:
+                for name in stale:
+                    (out / name).unlink(missing_ok=True)
             os.replace(*temps[0])
             del temps[0]
     finally:
@@ -434,7 +441,8 @@ def _cmd_simulate(cfg: RunConfig) -> Files:
     return files
 
 
-# Each command's figures: a run removes those it did not draw from --out.
+# Each command's figures: a run removes those it did not draw from --out,
+# just before it renames its manifest into place.
 _FIGURES = {
     "ranks": {"rank_trajectories.svg"},
     "decompose": {"components.svg"},
@@ -506,9 +514,7 @@ def main(argv=None) -> int:
         files["run_manifest.json"] = _json(asdict(cfg))
         out = Path(cfg.out)
         out.mkdir(parents=True, exist_ok=True)
-        for name in _FIGURES[args.command] - files.keys():
-            (out / name).unlink(missing_ok=True)
-        _write_atomic(out, files)
+        _write_atomic(out, files, stale=sorted(_FIGURES[args.command] - files.keys()))
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -57,10 +57,10 @@ def time_average(grid: np.ndarray, curve: np.ndarray) -> np.ndarray:
     return np.trapezoid(curve, grid, axis=-1) / length
 
 
-def rank_moments(ranks: RankTrajectories) -> tuple[np.ndarray, np.ndarray]:
-    """(rho, nu) per subject from a rank trajectory set."""
-    rho = time_average(ranks.eval_grid, ranks.ranks)
-    nu = time_average(ranks.eval_grid, (ranks.ranks - rho[:, None]) ** 2)
+def rank_moments(grid: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, nu) per subject from ranks (n, G) on ``grid`` (G,)."""
+    rho = time_average(grid, ranks)
+    nu = time_average(grid, (ranks - rho[:, None]) ** 2)
     return rho, nu
 
 
@@ -82,7 +82,7 @@ def subject_summaries(
         raise GridMismatchError(
             "decomposition grid endpoints are not rank evaluation points"
         ) from exc
-    rho, nu = rank_moments(ranks)
+    rho, nu = rank_moments(ranks.eval_grid, ranks.ranks)
     zeta = ranks.ranks[:, ends[1]] - ranks.ranks[:, ends[0]]
     eta = decomp.integrate(decomp.rprime**2)
     return [

@@ -188,6 +188,21 @@ def test_a_directory_in_the_way_exits_1_and_leaves_no_temp_file(data_csv, tmp_pa
     assert not (out / "run_manifest.json").exists()
 
 
+def test_a_failed_run_keeps_the_figures_of_the_manifest_beside_them(data_csv, tmp_path):
+    # an --svg run, then a run without --svg whose rename onto a directory
+    # fails: its manifest is not written, so the figure the old one drew stays
+    out = tmp_path / "o"
+    args = ["decompose", "--input", str(data_csv), "--h-y", "0.5", "--h-t", "0.2", "--out", str(out)]
+    assert main(args + ["--svg"]) == 0
+    figure = (out / "components.svg").read_bytes()
+    (out / "contributions.json").unlink()
+    (out / "contributions.json").mkdir()
+    assert main(args) == 1
+    assert (out / "components.svg").read_bytes() == figure
+    assert json.loads((out / "run_manifest.json").read_text())["svg"] is True
+    assert not list(out.glob("*.tmp"))
+
+
 @pytest.mark.parametrize("command, figures, extra", [
     ("decompose", ["components.svg"], ["--h-y", "0.8", "--h-t", "0.2"]),
     ("summaries", ["gamma.svg"], ["--h-y", "0.8", "--h-t", "0.2"]),

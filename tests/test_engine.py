@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -250,3 +252,49 @@ def test_window_sums_match_direct_sums(kern, hs, sets):
     # the widest bandwidth read alone
     alone = windows.sums(d, [len(hs) - 1])
     assert np.array_equal(alone[0], got[-1])
+
+
+@pytest.mark.parametrize("kern", [EPANECHNIKOV, BIWEIGHT], ids=lambda k: k.name)
+def test_a_repeated_pair_reads_the_same_views(sim50, kern, monkeypatch):
+    # the default grid plus a copy of its first pair: the copies, the pair in
+    # the grid without the copy and the engine's arrays after they are read
+    sample, grid = sim50.sample, BandwidthGrid.geometric()
+    smoothed = presmooth(sample, h_d=0.1, eval_grid_size=101, kernel=kern)
+    returned = []
+    qbar_grid = _engine.qbar_grid
+
+    def recorded(*args):
+        qs = qbar_grid(*args)
+        returned.append([(q, q.copy()) for pair in qs for q in pair])
+        return qs
+
+    monkeypatch.setattr(_engine, "qbar_grid", recorded)
+    many = decompose_many(sample, smoothed, grid.pairs + grid.pairs[:1], trim=grid.h_max, kernel=kern)
+    once = decompose_many(sample, smoothed, grid.pairs, trim=grid.h_max, kernel=kern)
+    [alone] = decompose_many(sample, smoothed, grid.pairs[:1], trim=grid.h_max, kernel=kern)
+    fields = ("c1", "c2", "rprime")
+    for got in (many[-1], once[0]):
+        assert all(np.array_equal(getattr(got, f), getattr(many[0], f)) for f in fields)
+    for a, b in zip(many, once):
+        assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in fields)
+    # alone, the pair's h_y sets the cells, so its sums agree to rounding
+    for f in fields:
+        np.testing.assert_allclose(getattr(alone, f), getattr(many[0], f), rtol=1e-12, atol=1e-12)
+    for q, before in (q for call in returned for q in call):
+        assert not q.flags.writeable
+        assert np.array_equal(q, before)
+
+
+def test_decompose_many_holds_little_beyond_what_it_returns(sim200):
+    # the engine's averages are views of its scaled sums, with no copy per pair
+    sample, grid = sim200.sample, BandwidthGrid.geometric()
+    smoothed = presmooth(sample, h_d=0.1, eval_grid_size=101)
+    decompose_many(sample, smoothed, grid.pairs, trim=grid.h_max)  # caches and lazy imports
+    tracemalloc.start()
+    try:
+        results = decompose_many(sample, smoothed, grid.pairs, trim=grid.h_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(getattr(r, f).nbytes for r in results for f in ("c1", "c2", "rprime"))
+    assert peak <= 2.4 * returned
