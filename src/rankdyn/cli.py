@@ -5,8 +5,10 @@ name to text.  ``main`` then writes every file, figures included, to a
 temp file, and renames the temps into place once all are written,
 ``run_manifest.json``, which echoes all resolved parameters, last.  Just
 before that last rename it removes the command's own figures that this run
-did not draw from the --out directory.  A command that fails writes
-nothing (``_write_atomic`` says what a failed rename leaves).  Re-running
+did not draw from the --out directory; the command table ``_COMMANDS``
+names each command's figures beside its function and help text.  A command
+that fails writes nothing (``_write_atomic`` says what a failed rename
+leaves).  Re-running
 a command with ``--config run_manifest.json`` reproduces the outputs
 byte-identically: the manifest stores the resolved bandwidths, so even a
 CV-selected run replays without re-selection.
@@ -22,7 +24,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterable, get_type_hints
+from typing import Callable, Iterable, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -31,14 +33,8 @@ from .bandwidth import BandwidthGrid, select_bandwidths
 from .dynamics import contributions, decompose
 from .errors import DataError, DomainError
 from .kernels import Kernel, get_kernel
-from .ranks import Bandwidths, default_bandwidths, empirical_ranks, smooth_ranks
-from .sample import (
-    _BATCH_ROWS as _ROWS_PER_WRITE,
-    default_presmooth_bandwidth,
-    load_long_csv,
-    load_wide_csv,
-    presmooth,
-)
+from .ranks import Bandwidths, _trimmed, default_bandwidths, empirical_ranks, smooth_ranks
+from .sample import _BATCH_ROWS, load_long_csv, load_wide_csv, presmooth
 from .simulation import SimModel, run_monte_carlo
 from .summaries import population_summaries, subject_summaries
 
@@ -142,8 +138,8 @@ def _csv_chunks(header: list[str], tables):
     """The CSV text of the header and the tables' rows, a bounded number of rows at a time."""
     yield ",".join(header) + "\n"
     for size, columns in tables:
-        for a in range(0, size, _ROWS_PER_WRITE):
-            rows = np.arange(a, min(a + _ROWS_PER_WRITE, size))
+        for a in range(0, size, _BATCH_ROWS):
+            rows = np.arange(a, min(a + _BATCH_ROWS, size))
             yield "\n".join(map(",".join, zip(*[col(rows) for col in columns]))) + "\n"
 
 
@@ -291,19 +287,30 @@ def _resolve_bandwidths(cfg: RunConfig, sample) -> Bandwidths:
     return default_bandwidths(sample)
 
 
-def _decomposed(cfg: RunConfig):
-    """(smoothed, kernel, pair, decomposition) at --trim ('auto': h_t), checked before the pipeline."""
-    trim = None
-    if str(cfg.trim).strip().lower() != "auto":
-        try:
-            trim = float(cfg.trim)
-        except ValueError:
-            raise UsageError(f"--trim must be 'auto' or a number, got {cfg.trim!r}") from None
-        if not 0 < trim < 0.5:
-            raise DomainError(f"--trim must lie in (0, 0.5), got {trim!r}")
-    sample, smoothed, kern, bw = _pipeline(cfg)
-    trim = bw.h_t if trim is None else trim
+def _trim(cfg: RunConfig) -> float | None:
+    """--trim as a number in (0, 0.5), recorded in ``cfg``, or None for 'auto'.
+
+    It needs no input, so commands check it before loading any.
+    """
+    if str(cfg.trim).strip().lower() == "auto":
+        return None
+    try:
+        trim = float(cfg.trim)
+    except ValueError:
+        raise UsageError(f"--trim must be 'auto' or a number, got {cfg.trim!r}") from None
+    if not 0 < trim < 0.5:
+        raise DomainError(f"--trim must lie in (0, 0.5), got {trim!r}")
     cfg.trim = repr(trim)
+    return trim
+
+
+def _decomposed(cfg: RunConfig):
+    """(smoothed, kernel, pair, decomposition) at --trim ('auto': h_t)."""
+    trim = _trim(cfg)
+    sample, smoothed, kern, bw = _pipeline(cfg)
+    if trim is None:
+        trim = bw.h_t
+        cfg.trim = repr(trim)
     return smoothed, kern, bw, decompose(sample, smoothed, bw, trim=trim, kernel=kern)
 
 
@@ -311,9 +318,8 @@ def _pipeline(cfg: RunConfig, need_bandwidths: bool = True):
     """Shared front half: load, presmooth, resolve bandwidths."""
     kern = _kernel(cfg)
     sample = _load_sample(cfg)
-    h_d = cfg.h_d if cfg.h_d is not None else default_presmooth_bandwidth(sample)
-    smoothed = presmooth(sample, h_d=h_d, eval_grid_size=int(cfg.eval_points), kernel=kern)
-    cfg.h_d = float(h_d)
+    smoothed = presmooth(sample, h_d=cfg.h_d, eval_grid_size=int(cfg.eval_points), kernel=kern)
+    cfg.h_d = smoothed.h_d
     if not need_bandwidths:
         return sample, smoothed, kern, None
     bw = _resolve_bandwidths(cfg, sample)
@@ -325,12 +331,15 @@ def _pipeline(cfg: RunConfig, need_bandwidths: bool = True):
 def _cmd_ranks(cfg: RunConfig) -> Files:
     if cfg.method not in ("both", "empirical", "smooth"):
         raise UsageError(f"--method must be 'empirical', 'smooth' or 'both', got {cfg.method!r}")
+    trim = _trim(cfg)
     _, smoothed, kern, bw = _pipeline(cfg, need_bandwidths=cfg.method != "empirical")
     sets = []
     if cfg.method in ("both", "empirical"):
         sets.append(empirical_ranks(smoothed))
     if cfg.method in ("both", "smooth"):
-        sets.append(smooth_ranks(smoothed, bw, kernel=kern))
+        grid = smoothed.eval_grid
+        grid = grid[_trimmed(grid, bw.h_t if trim is None else trim, bw.h_t)]
+        sets.append(smooth_ranks(smoothed, bw, eval_grid=grid, kernel=kern))
     files = {"ranks.csv": _ranks_csv(sets)}
     if cfg.svg:
         rk = sets[-1]
@@ -362,7 +371,7 @@ def _cmd_decompose(cfg: RunConfig) -> Files:
 
 def _cmd_summaries(cfg: RunConfig) -> Files:
     smoothed, kern, bw, dec = _decomposed(cfg)
-    rks = smooth_ranks(smoothed, bw, kernel=kern)
+    rks = smooth_ranks(smoothed, bw, eval_grid=dec.trimmed_grid, kernel=kern)
     subs = subject_summaries(rks, dec)
     pop = population_summaries(dec)
     files = {
@@ -441,22 +450,23 @@ def _cmd_simulate(cfg: RunConfig) -> Files:
     return files
 
 
-# Each command's figures: a run removes those it did not draw from --out,
-# just before it renames its manifest into place.
-_FIGURES = {
-    "ranks": {"rank_trajectories.svg"},
-    "decompose": {"components.svg"},
-    "summaries": {"gamma.svg"},
-    "cv": set(),
-    "simulate": {"mise_cv.svg", "mise_opt.svg"},
-}
+class _Command(NamedTuple):
+    run: Callable[[RunConfig], Files]
+    help: str
+    # a run removes those it did not draw from --out, just before it renames its manifest
+    figures: set[str]
+
 
 _COMMANDS = {
-    "ranks": _cmd_ranks,
-    "decompose": _cmd_decompose,
-    "summaries": _cmd_summaries,
-    "cv": _cmd_cv,
-    "simulate": _cmd_simulate,
+    "ranks": _Command(_cmd_ranks, "estimate empirical and smooth rank trajectories",
+                      {"rank_trajectories.svg"}),
+    "decompose": _Command(_cmd_decompose, "estimate the C1/C2 decomposition of rank derivatives",
+                          {"components.svg"}),
+    "summaries": _Command(_cmd_summaries, "subject and population rank summary statistics",
+                          {"gamma.svg"}),
+    "cv": _Command(_cmd_cv, "bandwidth selection by leave-one-out cross-validation", set()),
+    "simulate": _Command(_cmd_simulate, "Monte Carlo benchmark against the closed-form model",
+                         {"mise_cv.svg", "mise_opt.svg"}),
 }
 
 
@@ -490,15 +500,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Rank trajectories and rank-derivative decomposition for functional data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "ranks": "estimate empirical and smooth rank trajectories",
-        "decompose": "estimate the C1/C2 decomposition of rank derivatives",
-        "summaries": "subject and population rank summary statistics",
-        "cv": "bandwidth selection by leave-one-out cross-validation",
-        "simulate": "Monte Carlo benchmark against the closed-form model",
-    }
-    for name, help_text in specs.items():
-        sub.add_parser(name, help=help_text, parents=[common])
+    for name, command in _COMMANDS.items():
+        sub.add_parser(name, help=command.help, parents=[common])
     return parser
 
 
@@ -509,12 +512,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        command = _COMMANDS[args.command]
         cfg = _merge_config(args)
-        files = _COMMANDS[args.command](cfg)
+        files = command.run(cfg)
         files["run_manifest.json"] = _json(asdict(cfg))
         out = Path(cfg.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_atomic(out, files, stale=sorted(_FIGURES[args.command] - files.keys()))
+        _write_atomic(out, files, stale=sorted(command.figures - files.keys()))
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

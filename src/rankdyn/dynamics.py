@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DegenerateSampleError, DomainError
+from .errors import DataError, DegenerateSampleError
 from .kernels import EPANECHNIKOV, Kernel
-from .ranks import Bandwidths, _check_interior, _estimates, _inside
+from .ranks import Bandwidths, _check_interior, _estimates, _trimmed
 from .sample import FunctionalSample, SmoothedSample
 
 __all__ = [
@@ -106,13 +106,7 @@ def decompose_many(
     if smoothed.n != sample.n or list(smoothed.ids) != list(sample.ids):
         raise DataError("smoothed sample does not match the raw sample")
     h_max = max(bw.h_t for bw in bandwidths)
-    if trim is None:
-        trim = h_max
-    if _inside(trim, h_max).size == 0:
-        raise DomainError(f"trim={trim!r} must lie in [h_t, 1 - h_t] for the largest h_t {h_max!r}")
-    cols = _inside(smoothed.eval_grid, trim)
-    if cols.size == 0:
-        raise DomainError(f"no evaluation points remain inside [{trim}, {1 - trim}]")
+    cols = _trimmed(smoothed.eval_grid, h_max if trim is None else trim, h_max)
     grid = smoothed.eval_grid[cols]
     fields = _estimates(sample, kernel, bandwidths, grid, smoothed.values[:, cols])
     dyq = smoothed.derivatives[:, cols]

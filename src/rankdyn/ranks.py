@@ -89,16 +89,16 @@ class RankTrajectories:
 
 
 def _as_shared_data(source) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """(ids, grid, values (n, m)) for sources that carry one common grid."""
+    """(ids, grid, values (n, m)) for sources of at least 2 subjects on one common grid."""
+    if not isinstance(source, (FunctionalSample, SmoothedSample)):
+        raise TypeError(f"expected FunctionalSample or SmoothedSample, got {type(source)!r}")
+    if isinstance(source, FunctionalSample) and source.shared_grid is None:
+        raise EvaluationError("subjects are observed on different grids; presmooth first")
+    if source.n < 2:
+        raise DataError("rank estimation needs at least 2 subjects")
     if isinstance(source, SmoothedSample):
         return source.ids, source.eval_grid, source.values
-    if isinstance(source, FunctionalSample):
-        if source.shared_grid is None:
-            raise EvaluationError(
-                "subjects are observed on different grids; presmooth first"
-            )
-        return source.ids, source.shared_grid, source.value_matrix()
-    raise TypeError(f"expected FunctionalSample or SmoothedSample, got {type(source)!r}")
+    return source.ids, source.shared_grid, source.value_matrix()
 
 
 def match_grid(available: np.ndarray, requested: np.ndarray) -> np.ndarray:
@@ -124,8 +124,6 @@ def empirical_ranks(source, eval_grid=None) -> RankTrajectories:
     Works on a shared-grid sample or on smoothed curves.
     """
     ids, grid, vals = _as_shared_data(source)
-    if len(ids) < 2:
-        raise DataError("rank estimation needs at least 2 subjects")
     if eval_grid is None:
         eval_grid = grid
         cols = np.arange(grid.size)
@@ -153,6 +151,20 @@ def _inside(grid, trim: float) -> np.ndarray:
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     return np.flatnonzero((grid >= trim - _TOL) & (grid <= 1.0 - trim + _TOL))
+
+
+def _trimmed(grid, trim: float, h_t: float) -> np.ndarray:
+    """Indices of the points of ``grid`` inside [trim, 1 - trim]: the trimmed grid.
+
+    Raises DomainError when trim lies outside [h_t, 1 - h_t], where the
+    time kernel window is fully interior, or when no point remains.
+    """
+    if _inside(trim, h_t).size == 0:
+        raise DomainError(f"trim={trim!r} must lie in [h_t, 1 - h_t] for the largest h_t {h_t!r}")
+    cols = _inside(grid, trim)
+    if cols.size == 0:
+        raise DomainError(f"no evaluation points remain inside [{trim}, {1 - trim}]")
+    return cols
 
 
 def _check_interior(t: float, h_t: float):
@@ -220,12 +232,8 @@ def smooth_ranks(
     to [h_t, 1 - h_t], where the time kernel window is fully interior.
     """
     ids, grid, vals = _as_shared_data(source)
-    if len(ids) < 2:
-        raise DataError("rank estimation needs at least 2 subjects")
     eval_grid = np.atleast_1d(np.asarray(grid if eval_grid is None else eval_grid, dtype=float))
-    trimmed = eval_grid[_inside(eval_grid, bw.h_t)]
-    if trimmed.size == 0:
-        raise DomainError(f"no evaluation points remain inside [{bw.h_t}, {1 - bw.h_t}]")
+    trimmed = eval_grid[_trimmed(eval_grid, bw.h_t, bw.h_t)]
     [(f, _, _)] = _estimates(
         source, kernel, [bw], trimmed, vals[:, match_grid(grid, trimmed)], partials=False
     )

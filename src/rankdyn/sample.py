@@ -12,8 +12,9 @@ strings before reading the next, so memory is bounded by the batch, not the
 file.  Only when a check fails are the batch's records walked one by one,
 to name the first bad record.  The long format is then sorted with one
 lexsort and split into subjects, and each distinct observation grid is
-validated once, however many subjects share it.  Input is UTF-8, with or
-without a byte-order mark.
+validated once, however many subjects share it.  Grids are compared by
+value, so signed zeros count as one grid: times -0.0 and 0.0 are the same.
+Input is UTF-8, with or without a byte-order mark.
 
 Presmoothing fits a local quadratic with kernel weights around every point
 of a uniform evaluation grid; the intercept is the fitted value, the linear
@@ -93,7 +94,8 @@ class FunctionalSample:
     times: list[np.ndarray]
     values: list[np.ndarray]
     shared_grid: np.ndarray | None = field(init=False, default=None)
-    # subject indices per distinct grid, grids in order of their first subject
+    # subject indices per distinct grid, grids in order of their first subject;
+    # shared_grid is set exactly when there is one group
     grid_groups: list[list[int]] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
@@ -117,7 +119,8 @@ class FunctionalSample:
         # grids in first-appearance order: a subject's value check comes before its grid's
         groups: dict[bytes, list[int]] = {}
         for i, t in enumerate(self.times):
-            groups.setdefault(t.tobytes(), []).append(i)
+            # adding 0.0 turns -0.0 into 0.0, so equal grids have equal bytes
+            groups.setdefault((t + 0.0).tobytes(), []).append(i)
         self.grid_groups = list(groups.values())
         for members in self.grid_groups:
             if members[0] >= bad:
@@ -125,9 +128,8 @@ class FunctionalSample:
             _validate_grid(self.times[members[0]], self.ids[members[0]])
         if bad < self.n:
             raise DataError(f"subject {self.ids[bad]!r} has non-finite values")
-        first = self.times[0]
-        if all(np.array_equal(self.times[m[0]], first) for m in self.grid_groups):
-            self.shared_grid = first
+        if len(self.grid_groups) == 1:
+            self.shared_grid = self.times[0]
 
     @property
     def n(self) -> int:

@@ -23,7 +23,7 @@ from .bandwidth import BandwidthGrid, select_bandwidths
 from .dynamics import DecompositionResult, decompose_many
 from .errors import DataError, DomainError, GridMismatchError
 from .kernels import EPANECHNIKOV, Kernel
-from .ranks import _inside, smooth_ranks
+from .ranks import _inside, _trimmed, smooth_ranks
 from .sample import FunctionalSample, presmooth
 # time_average is not called here; it stays importable from this module, where
 # rdbench/tracing.py wraps it
@@ -292,7 +292,7 @@ def _run_one(
 
     # rank summary statistics at the CV pick, on the raw observation grid
     obs = sim.sample.shared_grid
-    sub = obs[_inside(obs, h_max)]
+    sub = obs[_trimmed(obs, h_max, h_max)]
     rks = smooth_ranks(sim.sample, report.chosen, eval_grid=sub, kernel=kernel)
     r_true, _, _ = true_values(model, sim.xi, rks.eval_grid)
     rho_hat, nu_hat = rank_moments(rks.eval_grid, rks.ranks)

@@ -14,8 +14,6 @@ _ML, _MR, _MT, _MB = 64, 16, 34, 44
 
 
 def _ticks(lo: float, hi: float, count: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
     raw = np.linspace(lo, hi, count)
     return [float(v) for v in raw]
 

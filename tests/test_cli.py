@@ -110,6 +110,56 @@ class TestDecomposeCommand:
         assert ts.min() >= 0.3 - 1e-12 and ts.max() <= 0.7 + 1e-12
 
 
+def test_ranks_trim_sets_the_smooth_window_and_replays(data_csv, tmp_path):
+    out = tmp_path / "o"
+    assert main(["ranks", "--input", str(data_csv), "--h-y", "0.8", "--h-t", "0.2",
+                 "--trim", "0.3", "--out", str(out)]) == 0
+    _, rows = _read_csv(out / "ranks.csv")
+    smooth = np.array([float(r[1]) for r in rows if r[3] == "smooth"])
+    empirical = np.array([float(r[1]) for r in rows if r[3] == "empirical"])
+    assert 0.3 - 1e-12 <= smooth.min() <= 0.31 and 0.69 <= smooth.max() <= 0.7 + 1e-12
+    # empirical ranks keep the full grid
+    assert empirical.min() == 0.0 and empirical.max() == 1.0
+    assert json.loads((out / "run_manifest.json").read_text())["trim"] == "0.3"
+    assert main(["ranks", "--config", str(out / "run_manifest.json"), "--out", str(tmp_path / "r")]) == 0
+    assert (out / "ranks.csv").read_bytes() == (tmp_path / "r" / "ranks.csv").read_bytes()
+
+
+def test_a_malformed_ranks_trim_exits_2_before_the_input_is_read(tmp_path, capsys):
+    assert main(["ranks", "--input", str(tmp_path / "missing.csv"), "--trim", "abc",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("usage error: --trim")
+
+
+@pytest.mark.parametrize("command, trim, message", [
+    ("decompose", "0.7", "--trim must lie in (0, 0.5), got 0.7"),
+    ("ranks", "0.7", "--trim must lie in (0, 0.5), got 0.7"),
+    ("ranks", "0.1", "trim=0.1 must lie in [h_t, 1 - h_t]"),
+])
+def test_an_out_of_range_trim_exits_1_naming_it(command, trim, message, data_csv, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main([command, "--input", str(data_csv), "--h-y", "0.8", "--h-t", "0.2",
+                 "--trim", trim, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+def test_summaries_average_the_ranks_over_the_decomposition_grid(data_csv, tmp_path):
+    # rho and nu integrate over [trim, 1 - trim], as zeta, eta, gamma and M do
+    out = tmp_path / "o"
+    assert main(["summaries", "--input", str(data_csv), "--h-y", "0.8", "--h-t", "0.15",
+                 "--trim", "0.3", "--out", str(out)]) == 0
+    _, rows = _read_csv(out / "subject_summaries.csv")
+    sample = load_long_csv(data_csv)
+    rk = smooth_ranks(presmooth(sample), Bandwidths(0.8, 0.15))
+    keep = (rk.eval_grid >= 0.3 - 1e-12) & (rk.eval_grid <= 0.7 + 1e-12)
+    grid, ranks = rk.eval_grid[keep], rk.ranks[:, keep]
+    rho = np.trapezoid(ranks, grid, axis=1) / (grid[-1] - grid[0])
+    nu = np.trapezoid((ranks - rho[:, None]) ** 2, grid, axis=1) / (grid[-1] - grid[0])
+    np.testing.assert_allclose([float(r[1]) for r in rows], rho, rtol=1e-12)
+    np.testing.assert_allclose([float(r[2]) for r in rows], nu, rtol=1e-10)
+
+
 @pytest.mark.parametrize("command, files", [
     ("decompose", ["decomposition.csv", "contributions.json", "components.svg"]),
     ("summaries", ["subject_summaries.csv", "population.json", "gamma.svg"]),
@@ -156,7 +206,7 @@ def test_a_write_that_fails_mid_file_leaves_no_new_file(data_csv, tmp_path, monk
     cv = cli._COMMANDS["cv"]
 
     def failing(cfg):
-        files = cv(cfg)
+        files = cv.run(cfg)
         first = next(iter(files["chosen.json"]))
 
         def chunks():
@@ -166,7 +216,7 @@ def test_a_write_that_fails_mid_file_leaves_no_new_file(data_csv, tmp_path, monk
         files["chosen.json"] = chunks()
         return files
 
-    monkeypatch.setitem(cli._COMMANDS, "cv", failing)
+    monkeypatch.setitem(cli._COMMANDS, "cv", cv._replace(run=failing))
     out = tmp_path / "o"
     out.mkdir()
     (out / "cv_report.csv").write_text("old")
@@ -239,6 +289,18 @@ def test_trim_from_config_number_matches_flag(data_csv, tmp_path):
         written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert written[0] == written[1]
     assert json.loads(written[0]["run_manifest.json"])["trim"] == "0.3"
+
+
+def test_a_whole_float_from_config_as_a_json_integer_matches_the_flag(data_csv, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"h_y": 1, "h_t": 0.2}))
+    written = []
+    out = tmp_path / "o"
+    for extra in (["--h-y", "1.0", "--h-t", "0.2"], ["--config", str(cfg)]):
+        assert main(["decompose", "--input", str(data_csv), "--out", str(out), *extra]) == 0
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert written[0] == written[1]
+    assert json.loads(written[1]["run_manifest.json"])["h_y"] == 1.0
 
 
 def test_malformed_trim_fails_before_cv(data_csv, tmp_path, monkeypatch, capsys):
@@ -457,7 +519,7 @@ class TestWriterMatchesRowByRowOracle:
     def test_tables_longer_than_one_write(self, tmp_path):
         rng = np.random.default_rng(4)
         n, g = 90, 101
-        assert n * g > cli._ROWS_PER_WRITE
+        assert n * g > cli._BATCH_ROWS
         sets = [RankTrajectories([f"s{i}" for i in range(n)], np.linspace(0.0, 1.0, g),
                                  np.round(rng.uniform(size=(n, g)), 3), method)
                 for method in ("empirical", "smooth")]
@@ -600,6 +662,11 @@ class TestExitCodes:
         args += ["--input", str(data_csv)] if command == "cv" else ["--n", "8", "--runs", "1"]
         assert main(args) == 2
         assert capsys.readouterr().err.startswith(f"usage error: --cv-grid {spec!r}")
+
+    def test_cv_grid_pair_without_a_colon_is_usage_error(self, data_csv, tmp_path, capsys):
+        assert main(["cv", "--input", str(data_csv), "--cv-grid", "0.5",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("usage error: --cv-grid '0.5': expected")
 
     def test_half_pair_is_usage_error(self, data_csv, tmp_path):
         assert main(["decompose", "--input", str(data_csv), "--h-y", "1.0",

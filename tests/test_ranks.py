@@ -117,6 +117,12 @@ class TestEmpiricalRanks:
         with pytest.raises(EvaluationError):
             empirical_ranks(constant_sample([1.0, 2.0]), eval_grid=[0.123456])
 
+    def test_ragged_sample_rejected(self):
+        times = [np.linspace(0, 1, 11), np.linspace(0, 1, 13)]
+        s = FunctionalSample(["a", "b"], times, [np.zeros(11), np.ones(13)])
+        with pytest.raises(EvaluationError, match="different grids; presmooth first"):
+            empirical_ranks(s)
+
 
 class TestSmoothCdf:
     def test_single_subject_far_above(self):
@@ -194,6 +200,10 @@ class TestSmoothRanks:
         )
         other = smooth_ranks(warped, bw)
         assert np.max(np.abs(base.ranks - other.ranks)) > 1e-3
+
+    def test_needs_two_subjects(self):
+        with pytest.raises(DataError, match="at least 2 subjects"):
+            smooth_ranks(constant_sample([1.0]), Bandwidths(0.5, 0.2))
 
     def test_smoothed_source(self, sim50):
         smoothed = presmooth(sim50.sample, h_d=0.12, eval_grid_size=101)

@@ -341,6 +341,14 @@ class TestGridValidation:
         )
         assert s2.shared_grid is None
 
+    def test_signed_zeros_are_one_grid(self):
+        g = np.linspace(0, 1, 11)
+        h = g.copy()
+        h[0] = -0.0
+        s = FunctionalSample(["a", "b"], [g, h], [np.zeros(11), np.ones(11)])
+        assert s.grid_groups == [[0, 1]]
+        assert s.shared_grid is not None
+
 
 class TestPresmooth:
     def test_constant_curve(self):
@@ -508,6 +516,10 @@ class TestPresmoothBatches:
         with pytest.raises(InsufficientDataError, match=r"^subject 'first': only 0 observations "
                            r"in the smoothing window at t=0 \(need >= 3\); increase h_d$"):
             presmooth(s, h_d=0.15)
+
+
+def test_pooled_std_of_one_value_is_zero():
+    assert pooled_std(FunctionalSample(["a"], [[0.5]], [[3.0]])) == 0.0
 
 
 def test_pooled_std():
