@@ -31,19 +31,15 @@ prefix moments (``prefix_moments``; z and v in units of reach).
 cell from its lower end; its inner cell edges are then rows of the table,
 and its per-cell weights one 2-D matmul of the powers of z against the
 stacked expansions: O(log N) and a small polynomial per query instead of
-O(band).  The cells a band spans are counted from the data, so an edge that
-rounding puts on a cell edge costs a cell, not a wrong sum.  In the table
-a run of empty cells wider than any band counts as only just wider, so it
-holds O(N) rows whatever the spread: a value 1e12 widths from the rest
-adds a dozen rows.  At the n = 200 block shape (the 164 calls of a
-``decompose_many``, 200 queries each) a call with its inner edges took
-175-181 us with a ``searchsorted`` per query and inner edge and a stack of
-small matmuls for the weights, and takes 113-115 us this way (best of 7,
-1 BLAS thread).
-The band may be open: a point on its edge has K = 0, or H = 1 and lies in
-the mass below it.  Who is in a band is decided in the caller's units:
-``WindowSums`` compares times as they are (its docstring says why), and
-``qbar_grid`` passes values it has already scaled, with width 1.
+O(band).  The cells a band spans are counted from the data, so an edge
+that rounding puts on a cell edge costs a cell, not a wrong sum.  In the
+table a run of empty cells wider than any band counts as only just wider,
+so it holds O(N) rows whatever the spread: a value 1e12 widths from the
+rest adds a dozen rows.  The band may be open: a point on its edge has
+K = 0, or H = 1 and lies in the mass below it.  Who is in a band is
+decided in the caller's units: ``WindowSums`` compares times as they are
+(its docstring says why), and ``qbar_grid`` passes values it has already
+scaled, with width 1.
 
 Along y, with a_k a time weight (w_k K or w_k K') and
 u_k = (y_q - y_k)/h_Y, H is 1 for u >= 1 and 0 for u <= -1, so sum_k a_k
@@ -54,25 +50,18 @@ blocks.  Each h_Y writes a block's raw S1, S3 and S5 columns into one
 array in the caller's time order.  At the end that array, and the S2 and
 S4 totals, are scaled in place by each column's normaliser, and every
 pair's Q1 .. Q5 are read-only views of the scaled sums, with no copy per
-pair: the 16 pairs of an n = 200 ``decompose_many`` traced 9.0 MB with a
-divided copy per pair and 7.0 MB with views, 2.2 times the 3.1 MB of
-results it returns.  A block's window, every observation within the
-widest h_T of its [first, last] time, is picked out of the value-sorted
-data and so stays sorted.  Its prefix moments have one
-column per block time, distinct h_T and K or K'; a query reads only its own
-time's columns, where observations outside that time's window weigh zero.
-A block grows while its prefix moments, (window size + 1) x times x
-columns x powers, stay within a fixed working set, BLOCK_MOMENTS = 2^16
-floats (512 KB); a time whose window alone holds more is a block of its
-own.  On the verification model (m = 31, 16 pairs, 41 trimmed times) that
-merges n = 20's times into 9 blocks and n = 50's into 21, where a bound of N
-on window x times gave one time per block, and leaves n = 200, where one
-time's moments already fill the bound, as it was.  ``decompose_many`` took
-32 -> 16 ms at n = 20 and 48 -> 38 ms at n = 50 (best CPU time, 1 BLAS
-thread).  2^17 saved 3 ms more at n = 50 but slowed a 300-subject
-``decompose`` by 10%; 2^15 saved nothing at n = 50.  The blocks run on one
-thread: on two (2 CPUs) they made n <= 50 1.7 times slower and n = 200
-no faster.
+pair.  A block's window, every observation within the widest h_T of its
+[first, last] time, is picked out of the value-sorted data and so stays
+sorted.  Its prefix moments have one column per block time, distinct h_T
+and K or K'; a query reads only its own time's columns, where
+observations outside that time's window weigh zero.  A block grows while
+its prefix moments, (window size + 1) x times x columns x powers, stay
+within a fixed working set, BLOCK_MOMENTS = 2^16 floats (512 KB); a time
+whose window alone holds more is a block of its own.  So a small sample
+merges many times into one block and pays each block's fixed cost a few
+times, not once per time, while a large one, whose single time fills the
+bound, gets one time per block.  The blocks run on one thread, which two
+threads did not beat on any sample size measured.
 
 One rule (``cell_sets``) decides which bandwidths share a set of cells, on
 both axes: the h_Y of ``qbar_grid`` and the h_T of CV.  A set takes the
@@ -226,11 +215,7 @@ def band_rule(x, cl: Cells, xq, reach: float, width: float, expand: np.ndarray):
 
 
 # Bandwidths within this factor of the narrowest in their set share its
-# cells.  5 is the smallest round factor that puts the default grid's four
-# values (ratio 1 / 0.6^3 = 4.63) in one set on either axis.  Larger ones
-# saved nothing on an 8 x 8 grid (ratio 36): with 8 and 12, CV took the same
-# time, and decompose_many took 3-9% longer on a 300-subject shared sample
-# and 6% longer to 5% shorter on a 30-subject ragged one.
+# cells (module notes).
 SHARE = 5.0
 
 
@@ -297,12 +282,10 @@ class WindowSums:
     reader weighs the edge moments directly, where ``qbar_grid`` takes each
     cell's moment difference first.  An empty band of ``qbar_grid`` takes
     its first cell from the next point above, which can lie far away, and
-    its huge weights cancel exactly only against zero differences; weighing
-    the edge moments directly put it 1.8e-10 (Epanechnikov, an outlier 50
-    units out) to 0.57 (biweight, 500 out) from the direct sums.  A window
-    here holds its own query time, so is never empty, and differencing first
-    made ``select_bandwidths`` 1.5 to 2 times slower on ragged samples of 30
-    to 120 subjects.  A window's inner edges are cell starts, which all
+    its huge weights cancel exactly only against zero differences, so
+    weighing its edge moments directly would lose the sum when one subject
+    sits far from the rest.  A window here holds its own query time, so is
+    never empty, and it skips a difference per cell.  A window's inner edges are cell starts, which all
     windows share, so they are weighed once per bandwidth into a matrix over
     the cell starts, banded in row chunks (``_cell_matrix``).  Each
     bandwidth's window sums are then a matmul per chunk against the moments

@@ -3,10 +3,13 @@
 The objective compares, for every observation at an interior time, the
 indicator 1{Y_ij <= y} with the smoothed cross-sectional cdf recomputed
 without subject i, squared and integrated over y: the CRPS of the
-leave-out predictive cdf.  The y-integral runs on a 201-point grid over
-[min Y - h_y, max Y + h_y] (trapezoid, split at the indicator's jump so
-both pieces stay smooth); with compact-support kernels the integrand
-vanishes identically outside that window, so the truncation is exact.
+leave-out predictive cdf.  The interior times are those the estimators
+keep, [h_max, 1 - h_max] closed within 1e-9 with h_max the grid's largest
+h_t (``ranks._inside``), so reversing time scores the same observations.
+The y-integral runs on a 201-point grid over [min Y - h_y, max Y + h_y]
+(trapezoid, split at the indicator's jump so both pieces stay smooth);
+with compact-support kernels the integrand vanishes identically outside
+that window, so the truncation is exact.
 
 The rule is linear in the integrand, so each scored value Y costs a
 quadratic form in the leave-out cdf f on the y-grid:
@@ -27,8 +30,8 @@ W - W_i: the leave-out masses are the numerators of that column.  H is
 evaluated once per h_y; time weights, window edges and coefficients once
 per h_t.  The subjects sharing an observation grid (``grid_groups``) form
 a row-major (time x member) table; the observations are the tables one
-after another, unpadded, and the scored ones (times inside (h_max,
-1 - h_max)) follow in the same order.
+after another, unpadded, and the scored ones (those at interior times)
+follow in the same order.
 
 S is a window sum along time, over G summed per distinct observation
 time tau (a shared grid of m points gives m rows), read for each column
@@ -42,66 +45,34 @@ it.
 The score adds up over y-grid columns, so the columns are taken in
 blocks, from the top down: the first block, full width, holds the top
 column and so the masses every block divides by, and the remainder block
-is the bottom one.  A block's buffers, the window-sum reader's
-included, stay within one (N, 201) H, N the number of observations, but
-within no less than _BLOCK_FLOOR = 2^18 floats (2 MB) and no more than
-_BLOCK_CEILING = 2^20 floats (8 MB).  The bulk of a block is never held
-twice: H, the numerators and the score's two sums per scored value are
-one buffer each per thread, sized for the h_y group with the most h_t,
-which every block of every group that thread scores reuses, and H's
-argument is released as soon as H is evaluated.  Fresh arrays for every
-block instead took 12.9k minor page faults a call at n = 200 against
-6.8k, and 8-10% more time, as the allocator gave their pages back at
-every block; on 5000 subjects of 32 times, whose blocks hold one column,
-831k against 12.6k, and 4.2 against 3.1 s.  Releasing a block's window
-sums and lam before the next block's did the same on the 30-subject
-ragged sample after a ``summaries`` run (10.6k faults against 4.4k, 58
-against 53 ms), so they go when the next block's replace them.  A block
-holds at least one column, about 7 floats per observation on the default
-grid, so CV's memory grows with N, not with N x 201: on 5000 subjects of
-32 times its traced peak is 33 MB, where one H is 257 MB.  The floor
-lets a small sample run fewer, wider blocks: 18 columns a block instead
-of 13 on a 30-subject ragged sample (N x 201 = 193k).  It left the peak resident memory of that sample's ``cv`` and
-``summaries`` runs flat, where 2^19 floats added 4% and 2^20 added 10%.
-The ceiling is the fastest budget measured (median over 5 processes of
-the best CPU time of 9 calls; one-H blocks -> 2^20 -> 2^19 floats): 128
--> 117 -> 129 ms on the verification model at n = 200, tracing 10.7 ->
-8.6 -> 4.7 MB, and 192 -> 171 -> 225 ms on 300 subjects of 32 times,
-tracing 15.9 -> 8.9 -> 5.3 MB.  On the 5000 subjects, one-H blocks took
-3.4-3.9 s of CPU time a call against 3.0-3.1 s (one thread).
+is the bottom one.  A block's buffers, the window-sum reader's included,
+stay within one (N, 201) H, N the number of observations, but within no
+less than _BLOCK_FLOOR floats, so a small sample runs fewer, wider
+blocks, and no more than _BLOCK_CEILING, so a large one keeps a bounded
+working set.  A block holds at least one column, about 7 floats per
+observation on the default grid, so CV's memory grows with N, not with
+N x 201.  The bulk of a block is never held twice: H, the numerators and
+the score's two sums per scored value are one buffer each per thread,
+sized for the h_y group with the most h_t, which every block of every
+group that thread scores reuses, and H's argument is released as soon as
+H is evaluated.  Arrays made fresh for each block would be handed back to
+the system and faulted in again at every block; for the same reason a
+block's window sums and lam go only when the next block's replace them.
+CHANGES.md records the measurements behind each of these sizes.
 
 The h_y groups scored at once write nothing they share: each has its own
 y-grid, window sums and score, its thread's H, own sums and lam, and fills
 its own pairs' values; the window-sum reader they share is only read after
-it is built.  The calling thread allocates both threads' buffer sets
-before the worker starts.  When each group allocated a fresh set in the
-thread that scored it, the worker's allocator arena grew by a set, while
-pages the calling thread had freed could have held it: with the sets made
-by the caller, rdbench's ``mc_verify`` (one Monte Carlo run at n = 20, 50
-and 200 on the default grid; 2 CPUs, 3 processes a side) peaks at
-69.2-69.8 MB resident against 71.9-72.5 MB.  Once
-N x 201 reaches 2^20 (``_THREADED_SIZE``), and there are two groups and two
-CPUs this process may run on, a worker thread scores every other group
-beside the calling thread, as numpy releases the interpreter lock in a
-block's large kernels.  (Two workers instead left a second allocator arena
-holding about 3 MB after the call.)  Each block then gets half the budget
-above, even on one CPU: two blocks in flight stay within it, and the
-blocks, and so the values, are bitwise the same whatever the number of
-CPUs.  Above the rule, threads won on every input measured (2 CPUs, 1 BLAS
-thread, default grid); below it, they lose on the smallest.  On the
-verification model they took CV at n = 20 from 13 to 22 ms, were even to
-14% slower at n = 50, and won 1.3 to 1.9 times from n = 70 up (n = 200:
-134 -> 78 ms; 300 subjects: 210 -> 115 ms).  On ragged samples (one grid
-per subject, 25 to 40 times each; best of 5, threads off -> on) they took
-30 subjects from 80 to 103 ms, and won from 80 subjects up: 244 -> 225 ms
-at 80, 451 -> 378 ms at 160 (just below the rule), 757 -> 525 ms at 240,
-and 1451 -> 924 ms on 100 subjects of 120 to 162 times each.  Under the
-ceiling they still pay whenever the second CPU is free (best wall time of
-9 calls in each of 4 processes a side, threads off -> on, with the CPUs'
-worth of time the calls got): 94-120 -> 51-65 ms at n = 200 (1.7-1.8
-CPUs), but 131 ms when the other CPU was busy (1.0); 131-185 -> 76-106 ms
-on 300 subjects (1.6-1.8); 4.2-4.4 -> 2.3-2.4 s on 5000 subjects of 32
-times (1.9).
+it is built.  Once N x 201 reaches _THREADED_SIZE, and there are two
+groups and two CPUs this process may run on, a worker thread scores every
+other group beside the calling thread, as numpy releases the interpreter
+lock in a block's large kernels; on smaller inputs the thread costs more
+than it saves.  The calling thread allocates both threads' buffer sets
+before the worker starts, so the worker's allocator arena does not grow by
+a set that pages the caller freed could hold; for the same reason there is
+one worker, not two.  Each block then gets half the budget above, even on
+one CPU: two blocks in flight stay within it, and the blocks, and so the
+values, are bitwise the same whatever the number of CPUs.
 """
 
 from __future__ import annotations
@@ -114,7 +85,7 @@ import numpy as np
 from .errors import DataError, DomainError, InsufficientDataError
 from ._engine import WindowSums
 from .kernels import EPANECHNIKOV, Kernel
-from .ranks import Bandwidths
+from .ranks import Bandwidths, _inside
 from .sample import FunctionalSample, pooled_std
 
 __all__ = [
@@ -219,10 +190,10 @@ def _cv_values(
     gy = _Y_GRID_SIZE
     grids = [sample.times[m[0]] for m in sample.grid_groups]
     tables = [np.stack([sample.values[i] for i in m], axis=1) for m in sample.grid_groups]
-    scored = [np.flatnonzero((t > h_max) & (t < 1.0 - h_max)) for t in grids]
+    scored = [_inside(t, h_max) for t in grids]
     interior = np.unique(np.concatenate([t[j] for t, j in zip(grids, scored)]))
     if interior.size == 0:
-        raise DomainError(f"no observation times inside ({h_max}, {1 - h_max})")
+        raise DomainError(f"no observation times inside [{h_max}, {1 - h_max}]")
     vals = np.concatenate([v.ravel() for v in tables])
     wts = np.concatenate([np.full(v.size, 1.0 / v.shape[0]) for v in tables])
     jumps = np.concatenate([v[j].ravel() for v, j in zip(tables, scored)])

@@ -23,7 +23,8 @@ def _horner(coeffs: tuple, u, out=None, zero_at_edges: bool = False):
     Without ``out`` the result is a new array, or a float for scalar ``u``.
     With ``out``, ``u`` must be a float array of the same shape: it is
     clipped in place and the result is written into ``out``, so nothing is
-    allocated.  ``zero_at_edges`` sets the value at |u| >= 1 to 0.
+    allocated.  ``zero_at_edges`` sets the value to 0 where the clipped
+    |u| >= 1 - 1e-12 (``Kernel`` says why).
     """
     if out is None:
         u = np.clip(np.asarray(u, dtype=float), -1.0, 1.0)
@@ -35,7 +36,7 @@ def _horner(coeffs: tuple, u, out=None, zero_at_edges: bool = False):
         out *= u
         out += c
     if zero_at_edges:
-        out[np.abs(u) == 1.0] = 0.0
+        out[np.abs(u) >= 1.0 - 1e-12] = 0.0
     return out if out.ndim else float(out)
 
 
@@ -49,8 +50,12 @@ class Kernel:
     sigma^2(K) = int x^2 K(x) dx.  The pointwise maps clip their argument to
     [-1, 1] and run Horner's rule, so K and K' vanish and H saturates at 0
     and 1 exactly at and beyond the support edges, given coefficients whose
-    sums there are exact (dyadic rationals are).  The kernel-sum engine
-    expands the same polynomials instead of evaluating the pointwise maps.
+    sums there are exact (dyadic rationals are).  K' is also 0 within 1e-12
+    of the edges: Epanechnikov's K' jumps from -+1.5 to 0 at u = +-1, and a
+    time exactly h_t from an observation gives u = +-1 only up to rounding,
+    so without the tolerance the observation would count on one side of
+    the window and not on the other.  The kernel-sum engine expands the
+    same polynomials instead of evaluating the pointwise maps.
 
     Every map takes an optional ``out`` array: the result is written into
     it, and the argument, which must then be a float array, is clipped in
@@ -79,7 +84,7 @@ class Kernel:
         return _horner(self.cdf_coeffs, u, out)
 
     def density_deriv(self, u, out=None):
-        """K'(u); zero outside (-1, 1), including at the support edges."""
+        """K'(u); zero outside (-1, 1) and within 1e-12 of its edges."""
         coeffs = tuple(p * c for p, c in enumerate(self.density_coeffs))[1:]
         return _horner(coeffs, u, out, zero_at_edges=True)
 

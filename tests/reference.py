@@ -3,7 +3,9 @@
 Everything here is written with plain scalar Python math, straight off the
 defining formulas: explicit double and triple loops, no windowing, no
 shared tensors, its own kernel arithmetic.  Deliberately slow and
-deliberately independent of the package's vectorized paths.
+deliberately independent of the package's vectorized paths.  The CV
+oracles score the times that ``ranks._inside`` keeps: which times are
+interior is a definition the package states once, not a computation.
 """
 
 import csv
@@ -11,6 +13,7 @@ import io
 import math
 
 from rankdyn.errors import CsvFormatError, DomainError, DuplicateTimeError
+from rankdyn.ranks import _inside
 
 
 def epan_k(u: float) -> float:
@@ -97,7 +100,7 @@ def naive_cv_objective(times, values, h_y, h_t, h_max, n_y=2001):
         rest_t = [times[l] for l in range(n) if l != i]
         rest_v = [values[l] for l in range(n) if l != i]
         for t_ij, y_ij in zip(times[i], values[i]):
-            if not (h_max < t_ij < 1.0 - h_max):
+            if _inside(t_ij, h_max).size == 0:
                 continue
             cell = 0.0
             for k, y in enumerate(ys):
@@ -128,7 +131,7 @@ def grid_cv_objective(times, values, h_y, h_t, h_max, kernel="epanechnikov", n_y
     total = 0.0
     for i in range(n):
         for t0, y0 in zip(times[i], values[i]):
-            if not (h_max < t0 < 1.0 - h_max):
+            if _inside(t0, h_max).size == 0:
                 continue
             near = [
                 (k((t0 - t) / h_t) / len(times[l]), y)

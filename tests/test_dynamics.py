@@ -12,9 +12,10 @@ from rankdyn.dynamics import (
     estimate_partials,
 )
 from rankdyn.errors import BoundaryError, DegenerateSampleError, DomainError
-from rankdyn.kernels import EPANECHNIKOV
+from rankdyn.kernels import BIWEIGHT, EPANECHNIKOV
 from rankdyn.ranks import Bandwidths, smooth_cdf
 from rankdyn.sample import FunctionalSample, presmooth
+from rankdyn.simulation import SimModel, generate_sample
 from reference import naive_partials
 
 
@@ -152,6 +153,22 @@ class TestDecompose:
         # with several pairs, the first such time names the first pair without data there
         with pytest.raises(InsufficientDataError, match=r"h_t=0\.08 of t=(np\.float64\()?0\.1500"):
             decompose_many(s, sm, [Bandwidths(0.5, 0.08), bw])
+
+    @pytest.mark.parametrize("kernel", [EPANECHNIKOV, BIWEIGHT], ids=lambda k: k.name)
+    def test_time_reversal_at_the_trim_ends(self, kernel):
+        # the trim ends 0.2 and 0.8 lie exactly h_t = 0.2 from the observations at 0
+        # and 1; those are outside both windows, so C1 there negates and swaps
+        sim = generate_sample(SimModel(), 25, seed=8)
+        grid, values = sim.sample.times[0], np.vstack(sim.sample.values)
+        twin = FunctionalSample.from_matrix(1.0 - grid[::-1], values[:, ::-1])
+        fwd, rev = (
+            decompose(s, presmooth(s, kernel=kernel), Bandwidths(0.9, 0.2), kernel=kernel)
+            for s in (sim.sample, twin)
+        )
+        assert fwd.trimmed_grid[0] == 0.2 and fwd.trimmed_grid[-1] == 0.8
+        scale = np.max(np.abs(fwd.c1))
+        assert np.max(np.abs(fwd.c1[:, 0] + rev.c1[:, -1])) <= 1e-12 * scale
+        assert np.max(np.abs(fwd.c1[:, -1] + rev.c1[:, 0])) <= 1e-12 * scale
 
 
 class TestContributions:

@@ -122,6 +122,15 @@ def test_exact_values_at_and_beyond_the_support_edges(k):
 
 
 @pytest.mark.parametrize("k", KERNELS, ids=lambda k: k.name)
+def test_density_deriv_is_zero_within_the_edge_tolerance(k):
+    # a point exactly one bandwidth away gives |u| = 1 only up to rounding
+    assert np.all(k.density_deriv(np.array([-1.0 + 1e-13, 1.0 - 1e-13])) == 0.0)
+    inside = np.array([-1.0 + 1e-9, 1.0 - 1e-9])
+    deriv = [p * c for p, c in enumerate(k.density_coeffs)][1:]
+    assert np.array_equal(k.density_deriv(inside), polyval(inside, deriv))
+
+
+@pytest.mark.parametrize("k", KERNELS, ids=lambda k: k.name)
 def test_scalar_input_returns_float(k):
     for u in (0.3, -1.0, 5.0, np.float64(0.3)):
         for f in (k.density, k.cdf, k.density_deriv):
